@@ -102,7 +102,20 @@ void DedupBackend::UnpinLocked(std::unique_lock<std::mutex>& lock, const PhysId&
   MaybeDeletePhysicalLocked(lock, id);
 }
 
-bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
+bool DedupBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
+                               const BatchCompletion& done) {
+  bool all_ok = true;
+  for (ChunkWriteRequest& req : requests) {
+    req.ok = WriteOne(req.key, req.data, req.bytes);
+    all_ok = all_ok && req.ok;
+  }
+  if (done) {
+    done();
+  }
+  return all_ok;
+}
+
+bool DedupBackend::WriteOne(const ChunkKey& key, const void* data, int64_t bytes) {
   CHECK_GT(bytes, 0);
   CHECK_LE(bytes, chunk_bytes());
   const ContentHash hash = content_hash_for_test_ ? content_hash_for_test_(data, bytes)
@@ -212,7 +225,7 @@ bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byt
     CHECK(it != phys_.end());
     if (!ok) {
       // Failed IO: withdraw the claim; any prior mapping at `key` stays intact
-      // (WriteChunk's contract only promises the old chunk survives a failed
+      // (WriteChunks' contract only promises the old chunk survives a failed
       // overwrite attempt).
       phys_.erase(it);
       cv_.notify_all();
@@ -239,45 +252,6 @@ bool DedupBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byt
   }
 }
 
-int64_t DedupBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  auto* self = const_cast<DedupBackend*>(this);
-  std::unique_lock<std::mutex> lock(self->mu_);
-  const auto it = logical_.find(key);
-  if (it == logical_.end()) {
-    return -1;
-  }
-  if (it->second.bytes > buf_bytes) {
-    return -1;  // short buffer: no wrapped-backend IO, no stats, no side effects
-  }
-  const PhysId id = it->second.phys;
-  ++self->phys_.at(id).pins;
-  lock.unlock();
-  const int64_t r = base_->ReadChunk(PhysicalKey(id), buf, buf_bytes);
-  lock.lock();
-  self->UnpinLocked(lock, id);
-  return r;
-}
-
-int64_t DedupBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                          int64_t buf_bytes) const {
-  auto* self = const_cast<DedupBackend*>(this);
-  std::unique_lock<std::mutex> lock(self->mu_);
-  const auto it = logical_.find(key);
-  if (it == logical_.end()) {
-    return -1;
-  }
-  if (it->second.bytes > buf_bytes) {
-    return -1;
-  }
-  const PhysId id = it->second.phys;
-  ++self->phys_.at(id).pins;
-  lock.unlock();
-  const int64_t r = base_->ReadChunkUnverified(PhysicalKey(id), buf, buf_bytes);
-  lock.lock();
-  self->UnpinLocked(lock, id);
-  return r;
-}
-
 void DedupBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
                                   const BatchCompletion& done, bool verify) const {
   auto* self = const_cast<DedupBackend*>(this);
@@ -296,7 +270,7 @@ void DedupBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       req.result = -1;
       const auto it = logical_.find(req.key);
       if (it == logical_.end() || it->second.bytes > req.buf_bytes) {
-        continue;  // fails only this request, exactly like serial ReadChunk
+        continue;  // fails only this request: no wrapped-backend IO, no side effects
       }
       const PhysId id = it->second.phys;
       ++self->phys_.at(id).pins;

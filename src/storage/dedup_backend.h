@@ -108,8 +108,10 @@ class DedupBackend : public StorageBackend {
   DedupBackend(StorageBackend* base, const DedupOptions& options = {});
   ~DedupBackend() override;
 
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
+  // Each request is hashed and either shares an existing physical chunk or
+  // publishes a new one to the wrapped backend.
+  bool WriteChunks(std::span<ChunkWriteRequest> requests,
+                   const BatchCompletion& done = {}) override;
   // Batched read: logical keys translate to physical keys under one index lock,
   // then the whole batch goes to the wrapped backend as ONE submission (duplicate
   // logical keys of one shared chunk become duplicate physical requests, which the
@@ -118,8 +120,6 @@ class DedupBackend : public StorageBackend {
                   const BatchCompletion& done = {}) const override;
   void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                             const BatchCompletion& done = {}) const override;
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
   bool HasChunk(const ChunkKey& key) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
@@ -189,6 +189,8 @@ class DedupBackend : public StorageBackend {
   void MaybeDeletePhysicalLocked(std::unique_lock<std::mutex>& lock, const PhysId& id);
   void UnpinLocked(std::unique_lock<std::mutex>& lock, const PhysId& id);
 
+  // One request of WriteChunks; false on wrapped-backend IO failure.
+  bool WriteOne(const ChunkKey& key, const void* data, int64_t bytes);
   // Shared body of the verified / unverified batched reads.
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;

@@ -18,7 +18,7 @@
 //     success; < R copies => success DEGRADED (`degraded_writes`), and the chunk
 //     is queued for re-replication. 0 copies => false.
 //   * Reads consult the logical index first (absent => -1, short buffer => -1
-//     with no side effects — the uniform ReadChunk contract), then walk the
+//     with no side effects — the uniform ReadChunks contract), then walk the
 //     replicas: a down node is skipped, a miss or CRC-corrupt copy falls through
 //     to the next replica (`failover_reads` counts reads a non-first replica
 //     served). Wrong bytes are never delivered: if every live copy is corrupt
@@ -88,14 +88,13 @@ class DistributedColdBackend : public StorageBackend {
   ~DistributedColdBackend() override;
 
   // --- StorageBackend surface ---
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Batched failover read: requests are grouped per node (each request starts at
   // its primary) and each node serves its group as ONE batched submission; failed
-  // requests retry on their next replica in subsequent rounds. Per-request
-  // results, stats, and short-buffer rules are exactly ReadChunk's.
+  // requests retry on their next replica in subsequent rounds.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
+  // Failover read minus verification (fsck's damage-inspection path): each request
+  // takes the first copy any replica delivers, corrupt or not.
   void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                             const BatchCompletion& done = {}) const override;
   bool WriteChunks(std::span<ChunkWriteRequest> requests,
@@ -104,10 +103,6 @@ class DistributedColdBackend : public StorageBackend {
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override;
-  // Failover read minus verification (fsck's damage-inspection path): returns the
-  // first copy any replica delivers, corrupt or not.
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
   bool DeleteChunk(const ChunkKey& key) override;
   StorageStats Stats() const override;
   std::string Name() const override;
@@ -233,9 +228,7 @@ class DistributedColdBackend : public StorageBackend {
                                     uint64_t gen,
                                     const std::map<int, uint64_t>& copies) const;
 
-  // Shared bodies of the verified and unverified failover read paths.
-  int64_t ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                        bool verify) const;
+  // Shared body of the verified and unverified failover read paths.
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;
 

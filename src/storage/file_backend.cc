@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -89,6 +90,35 @@ bool ParseChunkFileName(const std::string& name, int64_t* layer, int64_t* chunk)
   *layer = l;
   *chunk = c;
   return true;
+}
+
+// Groups `jobs` by device (request order kept within a device) and calls
+// `serve(begin, end)` once per device run. Runs on distinct devices proceed
+// concurrently on the shared pool; when every job lands on one device the run is
+// served inline on the caller, so a batch of one costs no pool dispatch.
+template <typename Job, typename Serve>
+void ForEachDeviceRun(std::vector<Job>& jobs, const Serve& serve) {
+  if (jobs.empty()) {
+    return;
+  }
+  // Jobs are built in request order, so `req` addresses break ties in that order.
+  std::sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.device != b.device ? a.device < b.device : a.req < b.req;
+  });
+  std::vector<size_t> run_starts{0};
+  for (size_t i = 1; i < jobs.size(); ++i) {
+    if (jobs[i].device != jobs[i - 1].device) {
+      run_starts.push_back(i);
+    }
+  }
+  run_starts.push_back(jobs.size());
+  ParallelFor(0, static_cast<int64_t>(run_starts.size()) - 1, 1,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t r = lo; r < hi; ++r) {
+                  serve(jobs.data() + run_starts[static_cast<size_t>(r)],
+                        jobs.data() + run_starts[static_cast<size_t>(r) + 1]);
+                }
+              });
 }
 
 bool IsTempFileName(const std::string& name) {
@@ -262,7 +292,7 @@ void FileBackend::DropContextFds(int64_t context_id) {
   }
 }
 
-bool FileBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
+bool FileBackend::WriteOne(const ChunkKey& key, const void* data, int64_t bytes) {
   CHECK_GT(bytes, 0);
   CHECK_LE(bytes, chunk_bytes());
   if (!EnsureContextDir(DeviceOf(key), key.context_id)) {
@@ -304,47 +334,6 @@ bool FileBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t byte
   return true;
 }
 
-int64_t FileBackend::ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                                   bool verify) const {
-  int64_t size;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-      return -1;
-    }
-    size = it->second;
-  }
-  if (size > buf_bytes) {
-    return -1;
-  }
-  const std::shared_ptr<FdHolder> fd = AcquireFd(key);
-  if (fd == nullptr || !PreadAll(fd->fd, buf, size)) {
-    return -1;
-  }
-  int64_t checked = 0;
-  if (verify && VerifyChunkBytes(buf, size, &checked) == ChunkVerdict::kCorrupt) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++crc_failures_;
-    return kChunkCorrupt;  // bytes in `buf` are damage, not data — no read counted
-  }
-  // Count only successful reads, so stats stay comparable across backends.
-  std::lock_guard<std::mutex> lock(mu_);
-  ++total_reads_;
-  read_bytes_ += size;
-  crc_checked_bytes_ += checked;
-  return size;
-}
-
-int64_t FileBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/true);
-}
-
-int64_t FileBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                         int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/false);
-}
-
 void FileBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                              const BatchCompletion& done) const {
   ReadChunksImpl(requests, done, /*verify=*/true);
@@ -361,8 +350,10 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
   struct Job {
     ChunkReadRequest* req;
     int64_t size;
+    int device;
   };
-  std::vector<std::vector<Job>> per_device(device_dirs_.size());
+  std::vector<Job> jobs;
+  jobs.reserve(requests.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (ChunkReadRequest& req : requests) {
@@ -371,52 +362,40 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
       if (it == index_.end() || it->second > req.buf_bytes) {
         continue;  // absent / short buffer: fails only this request
       }
-      per_device[static_cast<size_t>(DeviceOf(req.key))].push_back(Job{&req, it->second});
+      jobs.push_back(Job{&req, it->second, DeviceOf(req.key)});
     }
   }
-  std::atomic<int64_t> ok_reads{0};
-  std::atomic<int64_t> ok_bytes{0};
-  std::atomic<int64_t> crc_fails{0};
-  std::atomic<int64_t> crc_bytes{0};
-  ParallelFor(0, static_cast<int64_t>(per_device.size()), 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t d = lo; d < hi; ++d) {
-      int64_t reads = 0;
-      int64_t bytes = 0;
-      int64_t fails = 0;
-      int64_t checked_total = 0;
-      for (const Job& job : per_device[static_cast<size_t>(d)]) {
-        const std::shared_ptr<FdHolder> fd = AcquireFd(job.req->key);
-        if (fd == nullptr || !PreadAll(fd->fd, job.req->buf, job.size)) {
+  ForEachDeviceRun(jobs, [&](const Job* begin, const Job* end) {
+    int64_t reads = 0;
+    int64_t bytes = 0;
+    int64_t fails = 0;
+    int64_t checked_total = 0;
+    for (const Job* job = begin; job != end; ++job) {
+      const std::shared_ptr<FdHolder> fd = AcquireFd(job->req->key);
+      if (fd == nullptr || !PreadAll(fd->fd, job->req->buf, job->size)) {
+        continue;
+      }
+      if (verify) {
+        int64_t checked = 0;
+        if (VerifyChunkBytes(job->req->buf, job->size, &checked) ==
+            ChunkVerdict::kCorrupt) {
+          job->req->result = kChunkCorrupt;  // fails only this request
+          ++fails;
           continue;
         }
-        if (verify) {
-          int64_t checked = 0;
-          if (VerifyChunkBytes(job.req->buf, job.size, &checked) ==
-              ChunkVerdict::kCorrupt) {
-            job.req->result = kChunkCorrupt;  // fails only this request
-            ++fails;
-            continue;
-          }
-          checked_total += checked;
-        }
-        job.req->result = job.size;
-        ++reads;
-        bytes += job.size;
+        checked_total += checked;
       }
-      ok_reads.fetch_add(reads, std::memory_order_relaxed);
-      ok_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      crc_fails.fetch_add(fails, std::memory_order_relaxed);
-      crc_bytes.fetch_add(checked_total, std::memory_order_relaxed);
+      job->req->result = job->size;
+      ++reads;
+      bytes += job->size;
     }
-  });
-  {
-    // One stats update with the same totals N serial ReadChunk calls would post.
+    // One stats update per device run; only successful reads count.
     std::lock_guard<std::mutex> lock(mu_);
-    total_reads_ += ok_reads.load(std::memory_order_relaxed);
-    read_bytes_ += ok_bytes.load(std::memory_order_relaxed);
-    crc_failures_ += crc_fails.load(std::memory_order_relaxed);
-    crc_checked_bytes_ += crc_bytes.load(std::memory_order_relaxed);
-  }
+    total_reads_ += reads;
+    read_bytes_ += bytes;
+    crc_failures_ += fails;
+    crc_checked_bytes_ += checked_total;
+  });
   if (done) {
     done();
   }
@@ -424,18 +403,21 @@ void FileBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
 
 bool FileBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
                               const BatchCompletion& done) {
-  std::vector<std::vector<ChunkWriteRequest*>> per_device(device_dirs_.size());
+  struct Job {
+    ChunkWriteRequest* req;
+    int device;
+  };
+  std::vector<Job> jobs;
+  jobs.reserve(requests.size());
   for (ChunkWriteRequest& req : requests) {
-    per_device[static_cast<size_t>(DeviceOf(req.key))].push_back(&req);
+    jobs.push_back(Job{&req, DeviceOf(req.key)});
   }
   std::atomic<bool> all_ok{true};
-  ParallelFor(0, static_cast<int64_t>(per_device.size()), 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t d = lo; d < hi; ++d) {
-      for (ChunkWriteRequest* req : per_device[static_cast<size_t>(d)]) {
-        req->ok = WriteChunk(req->key, req->data, req->bytes);
-        if (!req->ok) {
-          all_ok.store(false, std::memory_order_relaxed);
-        }
+  ForEachDeviceRun(jobs, [&](const Job* begin, const Job* end) {
+    for (const Job* job = begin; job != end; ++job) {
+      job->req->ok = WriteOne(job->req->key, job->req->data, job->req->bytes);
+      if (!job->req->ok) {
+        all_ok.store(false, std::memory_order_relaxed);
       }
     }
   });

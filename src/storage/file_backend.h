@@ -54,26 +54,24 @@ class FileBackend : public StorageBackend {
   FileBackend(std::vector<std::string> device_dirs, int64_t chunk_bytes,
               const FileBackendOptions& options);
 
-  // Publishes via write-temp + fsync + rename(2): a reader (or a crash) never
-  // observes a half-written chunk — at worst an orphaned `<path>.tmp` remains,
-  // which the startup recovery scan (or hcache-fsck) sweeps.
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Batched submission: one index pass resolves every request, then the preads fan
   // out grouped per device so each stripe streams its own queue (the whole point of
-  // striping, §4.2.1). Stats land in one update equal to the N serial calls'.
+  // striping, §4.2.1); a batch whose work lands on one device runs inline on the
+  // caller. Stats land in one update per device.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
   void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                             const BatchCompletion& done = {}) const override;
+  // Fans out per device like ReadChunks. Each chunk publishes via write-temp +
+  // fsync + rename(2): a reader (or a crash) never observes a half-written chunk —
+  // at worst an orphaned `<path>.tmp` remains, which the startup recovery scan (or
+  // hcache-fsck) sweeps.
   bool WriteChunks(std::span<ChunkWriteRequest> requests,
                    const BatchCompletion& done = {}) override;
   bool HasChunk(const ChunkKey& key) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override;
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
   bool DeleteChunk(const ChunkKey& key) override;
   StorageStats Stats() const override;
   std::string Name() const override { return "file"; }
@@ -97,9 +95,9 @@ class FileBackend : public StorageBackend {
   // Startup pass: re-registers surviving chunk files in the index and (optionally)
   // sweeps orphaned temp files a crashed writer left behind.
   void RecoverFromDisk();
-  // Shared bodies of the verified and unverified read paths.
-  int64_t ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                        bool verify) const;
+  // Writes one chunk (temp + fsync + rename) and indexes it.
+  bool WriteOne(const ChunkKey& key, const void* data, int64_t bytes);
+  // Shared body of the verified and unverified read paths.
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;
 

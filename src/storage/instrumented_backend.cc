@@ -45,32 +45,8 @@ void InstrumentedBackend::InjectLatency() const {
   }
 }
 
-bool InstrumentedBackend::WriteChunk(const ChunkKey& key, const void* data,
-                                     int64_t bytes) {
-  InjectLatency();
-  if (write_hook_) {
-    write_hook_(key);
-  }
-  // Decrement-and-test so concurrent writers consume exactly `n` failures.
-  if (fail_writes_.load(std::memory_order_relaxed) > 0 &&
-      fail_writes_.fetch_sub(1, std::memory_order_relaxed) > 0) {
-    ++injected_write_failures_;
-    return false;
-  }
-  return inner_->WriteChunk(key, data, bytes);
-}
-
-int64_t InstrumentedBackend::ReadChunk(const ChunkKey& key, void* buf,
-                                       int64_t buf_bytes) const {
-  InjectLatency();
-  if (read_hook_) {
-    read_hook_(key);
-  }
-  return inner_->ReadChunk(key, buf, buf_bytes);
-}
-
-void InstrumentedBackend::ReadChunks(std::span<ChunkReadRequest> requests,
-                                     const BatchCompletion& done) const {
+void InstrumentedBackend::ForwardReads(std::span<ChunkReadRequest> requests,
+                                       const BatchCompletion& done, bool verify) const {
   read_batches_.fetch_add(1, std::memory_order_relaxed);
   InjectLatency();  // once per batch: a batched submission is one device round trip
   if (read_hook_) {
@@ -78,7 +54,21 @@ void InstrumentedBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       read_hook_(req.key);
     }
   }
-  inner_->ReadChunks(requests, done);
+  if (verify) {
+    inner_->ReadChunks(requests, done);
+  } else {
+    inner_->ReadChunksUnverified(requests, done);
+  }
+}
+
+void InstrumentedBackend::ReadChunks(std::span<ChunkReadRequest> requests,
+                                     const BatchCompletion& done) const {
+  ForwardReads(requests, done, /*verify=*/true);
+}
+
+void InstrumentedBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                                               const BatchCompletion& done) const {
+  ForwardReads(requests, done, /*verify=*/false);
 }
 
 bool InstrumentedBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
@@ -95,8 +85,9 @@ bool InstrumentedBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
     if (write_hook_) {
       write_hook_(req.key);
     }
-    // Same decrement-and-test as the serial path: each injected failure is consumed
-    // by exactly one request, which fails without ever reaching `inner`.
+    // Decrement-and-test so concurrent writers consume exactly `n` failures: each
+    // injected failure is consumed by exactly one request, which fails without ever
+    // reaching `inner`.
     if (fail_writes_.load(std::memory_order_relaxed) > 0 &&
         fail_writes_.fetch_sub(1, std::memory_order_relaxed) > 0) {
       ++injected_write_failures_;

@@ -27,7 +27,7 @@ class InstrumentedBackend : public StorageBackend {
   // `inner` must outlive the wrapper and defines chunk_bytes.
   explicit InstrumentedBackend(StorageBackend* inner);
 
-  // Every ReadChunk/WriteChunk sleeps this long before forwarding (0 = off).
+  // Every read or write batch sleeps this long before forwarding (0 = off).
   void set_io_latency_micros(int64_t micros) { io_latency_micros_ = micros; }
 
   // Deterministic per-op latency *distribution*: each injected sleep becomes
@@ -46,7 +46,7 @@ class InstrumentedBackend : public StorageBackend {
   static int64_t JitteredLatencyMicros(int64_t mean_micros, int64_t jitter_micros,
                                        uint64_t seed, uint64_t draw);
 
-  // The next `n` WriteChunk calls fail (return false) without touching `inner`.
+  // The next `n` write requests fail (ok = false) without touching `inner`.
   void FailNextWrites(int64_t n) { fail_writes_ = n; }
 
   // --- Corruption fault injection (the durability suite's chaos monkey) ---
@@ -82,15 +82,15 @@ class InstrumentedBackend : public StorageBackend {
   int64_t read_batches() const { return read_batches_.load(); }
   int64_t write_batches() const { return write_batches_.load(); }
 
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
   // Latency is injected ONCE per batch — a batched submission pays one device round
   // trip, which is exactly the effect batching exists to model — then the per-request
   // hooks run and the whole batch forwards to the inner backend's batched entry
-  // point. Write-failure injection stays per-request (decrement-and-test), and an
-  // injected failure never reaches `inner`.
+  // point (verified and unverified reads alike). Write-failure injection stays
+  // per-request (decrement-and-test), and an injected failure never reaches `inner`.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
+  void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                            const BatchCompletion& done = {}) const override;
   bool WriteChunks(std::span<ChunkWriteRequest> requests,
                    const BatchCompletion& done = {}) override;
   bool HasChunk(const ChunkKey& key) const override;
@@ -98,10 +98,6 @@ class InstrumentedBackend : public StorageBackend {
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override {
     return inner_->ListChunks();
-  }
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override {
-    return inner_->ReadChunkUnverified(key, buf, buf_bytes);
   }
   bool DeleteChunk(const ChunkKey& key) override { return inner_->DeleteChunk(key); }
   StorageStats Stats() const override;
@@ -112,6 +108,9 @@ class InstrumentedBackend : public StorageBackend {
 
  private:
   void InjectLatency() const;
+  // The one read forwarder behind ReadChunks and ReadChunksUnverified.
+  void ForwardReads(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
+                    bool verify) const;
 
   StorageBackend* inner_;
   std::atomic<int64_t> io_latency_micros_{0};

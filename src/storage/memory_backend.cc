@@ -12,56 +12,25 @@ namespace hcache {
 
 MemoryBackend::MemoryBackend(int64_t chunk_bytes) : StorageBackend(chunk_bytes) {}
 
-bool MemoryBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
-  CHECK_GT(bytes, 0);
-  CHECK_LE(bytes, chunk_bytes());
-  const char* src = static_cast<const char*>(data);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& chunk = chunks_[key];
-  bytes_stored_ += bytes - static_cast<int64_t>(chunk.size());
-  chunk.assign(src, src + bytes);
-  ++total_writes_;
-  return true;
-}
-
-int64_t MemoryBackend::ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                                     bool verify) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = chunks_.find(key);
-  if (it == chunks_.end()) {
-    return -1;
-  }
-  const int64_t size = static_cast<int64_t>(it->second.size());
-  if (size > buf_bytes) {
-    return -1;
-  }
-  if (verify) {
-    // Fused verify+copy: one pass over the chunk instead of a CRC sweep followed
-    // by a memcpy sweep.
-    int64_t checked = 0;
-    if (VerifyAndCopyChunk(it->second.data(), size, buf, &checked) ==
-        ChunkVerdict::kCorrupt) {
-      ++crc_failures_;
-      return kChunkCorrupt;  // no data delivered (buf unspecified), no read counted
+bool MemoryBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
+                                const BatchCompletion& done) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (ChunkWriteRequest& req : requests) {
+      CHECK_GT(req.bytes, 0);
+      CHECK_LE(req.bytes, chunk_bytes());
+      const char* src = static_cast<const char*>(req.data);
+      auto& chunk = chunks_[req.key];
+      bytes_stored_ += req.bytes - static_cast<int64_t>(chunk.size());
+      chunk.assign(src, src + req.bytes);
+      ++total_writes_;
+      req.ok = true;
     }
-    crc_checked_bytes_ += checked;
-    ++total_reads_;
-    read_bytes_ += size;
-    return size;
   }
-  ++total_reads_;
-  read_bytes_ += size;
-  std::memcpy(buf, it->second.data(), static_cast<size_t>(size));
-  return size;
-}
-
-int64_t MemoryBackend::ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/true);
-}
-
-int64_t MemoryBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                           int64_t buf_bytes) const {
-  return ReadChunkImpl(key, buf, buf_bytes, /*verify=*/false);
+  if (done) {
+    done();
+  }
+  return true;
 }
 
 void MemoryBackend::ReadChunks(std::span<ChunkReadRequest> requests,
@@ -117,7 +86,7 @@ void MemoryBackend::ReadChunksImpl(std::span<ChunkReadRequest> requests,
                     int64_t checked = 0;
                     if (VerifyAndCopyChunk(job.src, job.size, job.req->buf, &checked) ==
                         ChunkVerdict::kCorrupt) {
-                      // Fails only this request, like a serial ReadChunk.
+                      // Fails only this request.
                       job.req->result = kChunkCorrupt;
                       ++my_failures;
                       continue;

@@ -18,28 +18,24 @@ class MemoryBackend : public StorageBackend {
  public:
   explicit MemoryBackend(int64_t chunk_bytes);
 
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override;
-  int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const override;
-  // Batched read: one lock acquisition resolves the whole batch (N serial calls pay
-  // N lock round trips); large batches work-share the memcpys across the pool.
+  // Batched read: one lock acquisition resolves the whole batch; large batches
+  // work-share the memcpys across the pool.
   void ReadChunks(std::span<ChunkReadRequest> requests,
                   const BatchCompletion& done = {}) const override;
   void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
                             const BatchCompletion& done = {}) const override;
+  bool WriteChunks(std::span<ChunkWriteRequest> requests,
+                   const BatchCompletion& done = {}) override;
   bool HasChunk(const ChunkKey& key) const override;
   int64_t ChunkSize(const ChunkKey& key) const override;
   void DeleteContext(int64_t context_id) override;
   std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const override;
-  int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                              int64_t buf_bytes) const override;
   bool DeleteChunk(const ChunkKey& key) override;
   StorageStats Stats() const override;
   std::string Name() const override { return "memory"; }
 
  private:
-  // Shared bodies of the verified and unverified read paths.
-  int64_t ReadChunkImpl(const ChunkKey& key, void* buf, int64_t buf_bytes,
-                        bool verify) const;
+  // Shared body of the verified and unverified read paths.
   void ReadChunksImpl(std::span<ChunkReadRequest> requests, const BatchCompletion& done,
                       bool verify) const;
 

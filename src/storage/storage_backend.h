@@ -5,13 +5,25 @@
 // chunks keyed by (context, layer, chunk_index). Everything below it decides where
 // the bytes live:
 //
-//   FileBackend   — one chunk per file, striped round-robin across N device
-//                   directories (the paper's NVMe array, §4.2.1).
-//   MemoryBackend — DRAM-resident chunks (the paper's host-memory tier, §6.2.1;
-//                   also the fast path for tests).
-//   TieredBackend — DRAM over a cold backend with a capacity budget, context-granular
-//                   LRU eviction and write-back (the DRAM→SSD hierarchy the storage
-//                   manager assumes).
+//   FileBackend            — one chunk per file, striped round-robin across N
+//                            device directories (the paper's NVMe array, §4.2.1).
+//   MemoryBackend          — DRAM-resident chunks (the paper's host-memory tier,
+//                            §6.2.1; also the fast path for tests).
+//   TieredBackend          — DRAM over a cold backend with a capacity budget,
+//                            context-granular LRU eviction and write-back (the
+//                            DRAM→SSD hierarchy the storage manager assumes).
+//   DistributedColdBackend — chunks replicated across N storage nodes, with
+//                            failover reads and background re-replication.
+//   DedupBackend           — content-addressed single-instancing over any of the
+//                            above.
+//   InstrumentedBackend    — a forwarding wrapper that injects latency, write
+//                            failures and hooks (tests, benches, node faults).
+//
+// Data moves in batches. A backend implements exactly three data-path methods —
+// ReadChunks, ReadChunksUnverified and WriteChunks — and the single-chunk calls
+// (ReadChunk, ReadChunkUnverified, WriteChunk) are batches of one submitted by this
+// base class. The paper's restore streams whole layers of chunks, so the batch is
+// the unit a backend optimizes; one chunk is just its smallest case.
 //
 // Restoration speed is bounded by how fast a backend streams chunks back, so each
 // backend exposes uniform stats — including per-tier hit counts — that serving
@@ -40,13 +52,12 @@ struct ChunkKey {
 // (ChunkHeader v2 payload-CRC mismatch, or a header that contradicts itself).
 // Distinct from -1 (absent / short buffer): a corrupt chunk EXISTS — callers must
 // not retry the read or treat the key as free, they must fall back to recompute
-// (and fsck can quarantine it). Returned by ReadChunk / ReadChunks `result`.
+// (and fsck can quarantine it). Returned in a ChunkReadRequest's `result`.
 inline constexpr int64_t kChunkCorrupt = -2;
 
 // One read of a batched ReadChunks submission. The caller owns `buf` (capacity
 // `buf_bytes`) and keeps it alive until the batch's completion has run; `result` is
-// written by the backend: the chunk's byte count on success, -1 when the chunk is
-// absent or the buffer too small (the same per-request rule as ReadChunk).
+// written by the backend (see the ReadChunks contract below).
 struct ChunkReadRequest {
   ChunkKey key;
   void* buf = nullptr;
@@ -54,8 +65,8 @@ struct ChunkReadRequest {
   int64_t result = -1;
 };
 
-// One write of a batched WriteChunks submission (the tiered drainer's write-back
-// path). `ok` is written by the backend, mirroring WriteChunk's return value.
+// One write of a batched WriteChunks submission. `ok` is written by the backend:
+// true once the chunk is stored, false on IO failure.
 struct ChunkWriteRequest {
   ChunkKey key;
   const void* data = nullptr;
@@ -140,57 +151,54 @@ class StorageBackend {
   StorageBackend(const StorageBackend&) = delete;
   StorageBackend& operator=(const StorageBackend&) = delete;
 
-  // Durably stores a chunk (<= chunk_bytes). Overwrites any existing chunk at `key`.
-  // Returns false on IO failure. Concurrent writers on distinct chunks are safe.
-  virtual bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) = 0;
-
-  // Reads a chunk into `buf` (capacity `buf_bytes`). Returns the chunk's byte count,
-  // -1 if the chunk does not exist or the buffer is too small, or kChunkCorrupt (-2)
-  // when the stored bytes exist but fail integrity verification (v2 CRC mismatch; the
-  // read counts in Stats().crc_failures, delivers no data, and has no side effects).
+  // --- data path: the three methods every backend implements ---
   //
-  // Short-buffer contract (uniform across Memory/File/Tiered, pinned by the
-  // cross-backend conformance test): when the stored chunk is larger than
-  // `buf_bytes`, ReadChunk returns -1 WITHOUT writing to `buf`, without counting a
-  // read (or any hit bytes) in Stats(), and without side effects — in particular a
-  // tiered backend performs no cold-tier IO, no promotion, and no LRU update for a
-  // short-buffer read. Callers distinguish "absent" from "too small" via ChunkSize.
-  virtual int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const = 0;
-
-  // Batched read: one submission for a whole layer's (or batch's) chunks, replacing
-  // N serial ReadChunk round trips on the restore hot path.
+  // ReadChunks contract (pinned across every backend by
+  // tests/storage/read_chunks_test.cc and storage_backend_test.cc):
   //
-  // ReadChunks contract (uniform across Memory/File/Tiered/Instrumented, pinned by
-  // tests/storage/read_chunks_test.cc, same rigor as the short-buffer rule above):
-  //
-  //   * Results: each request's `result` is set exactly as a serial
-  //     ReadChunk(key, buf, buf_bytes) would return it, and on success `buf` holds
-  //     the chunk bytes. Requests may be serviced in any order and concurrently;
+  //   * Results: each request's `result` is the chunk's byte count on success, with
+  //     `buf` holding the chunk bytes; -1 when the chunk is absent or larger than
+  //     `buf_bytes`; kChunkCorrupt (-2) when the stored bytes exist but fail
+  //     integrity verification (v2 CRC mismatch; counted in Stats().crc_failures,
+  //     no data delivered). Requests may be serviced in any order and concurrently;
   //     duplicate keys in one batch are allowed (each is served independently).
-  //   * Partial failure: an absent chunk or short buffer fails ONLY its own request
-  //     (result = -1, no bytes written, no stats counted, no side effects — for a
-  //     tiered backend no cold IO, promotion, or LRU update for that request). It
-  //     never poisons the rest of the batch.
+  //   * Partial failure: an absent chunk, a short buffer or a corrupt chunk fails
+  //     ONLY its own request. An absent chunk or short buffer writes nothing to
+  //     `buf`, counts no read (or hit bytes) and has no side effects — for a tiered
+  //     backend no cold IO, no promotion and no LRU update for that request.
+  //     Callers distinguish "absent" from "too small" via ChunkSize.
   //   * Completion thread: every `result` is written before `done` runs; `done` is
   //     invoked exactly once, on the calling thread, and ReadChunks returns only
   //     after it — the call is a submission barrier. (Asynchrony is layered above:
   //     the pipelined restorer overlaps whole-batch submissions with compute.)
-  //   * Stats: counters advance exactly as the same N serial ReadChunk calls would
-  //     (hit tiering included), so dram_hit_bytes + cold_hit_bytes continues to
-  //     equal the bytes actually delivered.
-  //
-  // The base implementation is the sequential loop; backends override it to batch
-  // (FileBackend: pread fan-out grouped per device; MemoryBackend: one lock
-  // acquisition; TieredBackend: DRAM hits inline + ONE batched cold round trip).
+  //   * Stats: each successful request counts one read and its bytes (hit tiering
+  //     included), so dram_hit_bytes + cold_hit_bytes equals the bytes delivered.
   virtual void ReadChunks(std::span<ChunkReadRequest> requests,
-                          const BatchCompletion& done = {}) const;
+                          const BatchCompletion& done = {}) const = 0;
 
-  // Batched write: the drainer's write-back flushes land a whole ticket in one
-  // submission. Each request's `ok` mirrors WriteChunk's return value; failures are
-  // per-request. Returns true iff every request succeeded. Same completion-before-
-  // return barrier semantics as ReadChunks.
+  // ReadChunks minus verification: delivers whatever bytes are stored, corrupt or
+  // not, so fsck can inspect damage the verified path refuses to deliver, and so
+  // benches can measure exactly what verification costs. Same contract otherwise.
+  // Production restores use ReadChunks.
+  virtual void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                                    const BatchCompletion& done = {}) const = 0;
+
+  // Durably stores each request's chunk (<= chunk_bytes), overwriting any existing
+  // chunk at its key. Each request's `ok` is set (false on IO failure; failures are
+  // per-request). Returns true iff every request succeeded. Same completion-before-
+  // return barrier as ReadChunks. Concurrent writers on distinct chunks are safe.
   virtual bool WriteChunks(std::span<ChunkWriteRequest> requests,
-                           const BatchCompletion& done = {});
+                           const BatchCompletion& done = {}) = 0;
+
+  // --- single-chunk calls: batches of one ---
+  //
+  // Each submits a one-request batch to the method above and returns its
+  // result/ok. Virtual only so a pass-through wrapper can observe every call; a
+  // backend implements the batched methods, never these.
+  virtual int64_t ReadChunk(const ChunkKey& key, void* buf, int64_t buf_bytes) const;
+  virtual int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
+                                      int64_t buf_bytes) const;
+  virtual bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes);
 
   virtual bool HasChunk(const ChunkKey& key) const = 0;
   virtual int64_t ChunkSize(const ChunkKey& key) const = 0;  // -1 when absent
@@ -203,22 +211,6 @@ class StorageBackend {
   // Every resident (key, stored bytes) pair, in unspecified order — a scan
   // snapshot, not a consistency point. Default: empty (backend not enumerable).
   virtual std::vector<std::pair<ChunkKey, int64_t>> ListChunks() const { return {}; }
-
-  // ReadChunk minus verification: returns whatever bytes are at `key`, corrupt or
-  // not, so fsck can inspect damage the verified path refuses to deliver. Default
-  // forwards to ReadChunk (correct for backends that never verify).
-  virtual int64_t ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                      int64_t buf_bytes) const {
-    return ReadChunk(key, buf, buf_bytes);
-  }
-
-  // ReadChunks without integrity checking — the batched analogue of
-  // ReadChunkUnverified, same contract as ReadChunks minus the CRC pass. For fsck
-  // sweeps over damaged stores and for measuring exactly what verification costs on
-  // the restore path (bench). Production restores use ReadChunks. Default: the
-  // sequential unverified loop; backends that batch override it alongside ReadChunks.
-  virtual void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
-                                    const BatchCompletion& done = {}) const;
 
   // Removes one chunk (fsck quarantine of a corrupt chunk so the context reads as
   // incomplete and falls back to recompute). Returns true if the key was resident.

@@ -142,35 +142,6 @@ void TieredBackend::EvictToBudgetLocked(Shard& shard,
   }
 }
 
-void TieredBackend::LegacyEvictToBudgetLocked(Shard& shard) const {
-  while (shard.hot_bytes > shard.capacity && !shard.lru.empty()) {
-    const int64_t victim = shard.lru.front();
-    auto it = shard.hot.lower_bound(ChunkKey{victim, 0, 0});
-    while (it != shard.hot.end() && it->first.context_id == victim) {
-      if (it->second.dirty) {
-        const int64_t bytes = static_cast<int64_t>(it->second.data.size());
-        // The PR 4 behavior this mode preserves: the cold-tier write happens while
-        // shard.mu is HELD, serializing every other operation on the stripe.
-        if (!cold_->WriteChunk(it->first, it->second.data.data(), bytes)) {
-          HCACHE_LOG_ERROR << "tiered write-back failed: ctx=" << it->first.context_id
-                           << " L=" << it->first.layer << " C=" << it->first.chunk_index
-                           << "; keeping context in DRAM";
-          shard.lru.splice(shard.lru.end(), shard.lru,
-                           shard.contexts.at(victim).lru_pos);
-          return;
-        }
-        ++writeback_chunks_;
-        writeback_bytes_ += bytes;
-      }
-      shard.hot_bytes -= static_cast<int64_t>(it->second.data.size());
-      it = shard.hot.erase(it);
-    }
-    shard.lru.pop_front();
-    shard.contexts.erase(victim);
-    ++evicted_contexts_;
-  }
-}
-
 bool TieredBackend::ProcessTicket(const DrainTicket& ticket) const {
   Shard& shard = *shards_[ticket.shard];
   // Snapshot every still-current payload under ONE lock hold, then land the whole
@@ -346,7 +317,19 @@ void TieredBackend::Quiesce() {
   });
 }
 
-bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) {
+bool TieredBackend::WriteChunks(std::span<ChunkWriteRequest> requests,
+                                const BatchCompletion& done) {
+  for (ChunkWriteRequest& req : requests) {
+    WriteOne(req.key, req.data, req.bytes);
+    req.ok = true;  // accepted into the hot tier or the drain plane
+  }
+  if (done) {
+    done();
+  }
+  return true;
+}
+
+void TieredBackend::WriteOne(const ChunkKey& key, const void* data, int64_t bytes) {
   CHECK_GT(bytes, 0);
   CHECK_LE(bytes, chunk_bytes());
   Shard& shard = *shards_[ShardOf(key.context_id)];
@@ -367,8 +350,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
     indexed.size = bytes;
     indexed.gen = ++write_gen_;
     ++total_writes_;
-    if (bytes > shard.capacity &&
-        options_.writeback != TieredOptions::Writeback::kLegacyLocked) {
+    if (bytes > shard.capacity) {
       // A chunk that can never be hot-resident within its stripe's share goes
       // straight to the drain plane (write-through), instead of being admitted and
       // then flushing every other resident of the stripe on its way back out.
@@ -404,11 +386,7 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
                       /*dirty=*/true);
       // The chunk is durably in the hot tier at this point; write-back concerns
       // *other* contexts and must not fail this write.
-      if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-        LegacyEvictToBudgetLocked(shard);
-      } else {
-        EvictToBudgetLocked(shard, &tickets);
-      }
+      EvictToBudgetLocked(shard, &tickets);
     }
   }
   if (cancelled_pending) {
@@ -416,153 +394,46 @@ bool TieredBackend::WriteChunk(const ChunkKey& key, const void* data, int64_t by
   }
   DispatchTickets(std::move(tickets));
   MaybeStallWriter();
-  return true;
-}
-
-int64_t TieredBackend::ReadChunk(const ChunkKey& key, void* buf,
-                                 int64_t buf_bytes) const {
-  Shard& shard = *shards_[ShardOf(key.context_id)];
-  constexpr int64_t kColdMiss = -2;  // fall through to the cold tier
-  int64_t dram_result = kColdMiss;
-  uint64_t read_gen = 0;  // the write generation the unlocked cold read serves
-  bool rescued_pending = false;
-  std::vector<DrainTicket> tickets;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto hot_it = shard.hot.find(key);
-    const auto pit =
-        hot_it != shard.hot.end() ? shard.pending.end() : shard.pending.find(key);
-    if (hot_it != shard.hot.end()) {
-      const int64_t size = static_cast<int64_t>(hot_it->second.data.size());
-      if (size > buf_bytes) {
-        return -1;
-      }
-      std::memcpy(buf, hot_it->second.data.data(), static_cast<size_t>(size));
-      TouchLocked(shard, key.context_id);
-      ++total_reads_;
-      ++dram_hits_;
-      dram_hit_bytes_ += size;
-      dram_result = size;
-    } else if (pit != shard.pending.end()) {
-      // Rescue: the chunk was evicted but its write-back has not retired — the
-      // payload is still in DRAM, so serve it from the drain queue (a DRAM hit).
-      // Re-admit it (still dirty; its queued flush is cancelled by the erase) only
-      // when it fits the stripe's FREE space: a rescue must never trigger an
-      // eviction, or alternating reads of a context bigger than its stripe would
-      // cycle rescue→re-admit→evict→re-flush and double the cold-tier write IO.
-      const std::shared_ptr<const std::vector<char>> data = pit->second.data;
-      const int64_t size = static_cast<int64_t>(data->size());
-      if (size > buf_bytes) {
-        return -1;
-      }
-      std::memcpy(buf, data->data(), static_cast<size_t>(size));
-      ++total_reads_;
-      ++dram_hits_;
-      dram_hit_bytes_ += size;
-      ++drain_rescued_chunks_;
-      if (size <= shard.capacity - shard.hot_bytes) {
-        pending_bytes_ -= size;
-        shard.pending.erase(pit);
-        rescued_pending = true;
-        InsertHotLocked(shard, key, data->data(), size, /*dirty=*/true);
-        TouchLocked(shard, key.context_id);
-      }
-      dram_result = size;
-    } else {
-      const auto iit = shard.index.find(key);
-      if (iit == shard.index.end()) {
-        return -1;
-      }
-      if (iit->second.size > buf_bytes) {
-        return -1;  // short-buffer contract: no IO, no stats, no side effects
-      }
-      read_gen = iit->second.gen;
-    }
-  }
-  if (dram_result != kColdMiss) {
-    if (rescued_pending) {
-      SignalDrainProgress();
-    }
-    DispatchTickets(std::move(tickets));
-    return dram_result;
-  }
-  // Miss in DRAM: the chunk lives in the cold tier. The read runs with no lock
-  // held, so other contexts — and other chunks of this one — proceed concurrently.
-  const int64_t got = cold_->ReadChunk(key, buf, buf_bytes);
-  if (got == kChunkCorrupt) {
-    // Detected at the cold tier: surface the distinct status (the chunk EXISTS,
-    // callers must fall back to recompute, not re-read) and never promote damage.
-    ++crc_failures_;
-    return kChunkCorrupt;
-  }
-  if (got < 0) {
-    return got;
-  }
-  ++total_reads_;
-  ++cold_hits_;
-  cold_hit_bytes_ += got;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Promote: a restored context is likely to be restored again soon (the §6.2.1
-    // caching argument); admit the chunk clean so re-eviction is free. Skip when the
-    // chunk can never fit its stripe's budget (a 0-budget write-through tier would
-    // otherwise evict-and-churn on every read), or when the bytes read are stale: a
-    // concurrent write bumps the index generation (even if its own copy has already
-    // drained through to the cold tier), and a delete removes the entry — either
-    // way this copy must not be re-admitted over newer durable data.
-    const auto iit = shard.index.find(key);
-    const bool current = iit != shard.index.end() && iit->second.gen == read_gen;
-    const bool displaced =
-        shard.hot.count(key) != 0 || shard.pending.count(key) != 0;
-    if (current && !displaced) {
-      if (got <= shard.capacity) {
-        InsertHotLocked(shard, key, static_cast<const char*>(buf), got,
-                        /*dirty=*/false);
-        TouchLocked(shard, key.context_id);
-        if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-          // Faithful PR 4 baseline: the promotion-triggered eviction flushes while
-          // the lock is HELD, exactly like the write path in this mode.
-          LegacyEvictToBudgetLocked(shard);
-        } else {
-          EvictToBudgetLocked(shard, &tickets);
-        }
-      } else {
-        ++promotions_skipped_;
-      }
-    }
-  }
-  DispatchTickets(std::move(tickets));
-  return got;
 }
 
 void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
                                const BatchCompletion& done) const {
-  if (options_.writeback == TieredOptions::Writeback::kLegacyLocked) {
-    StorageBackend::ReadChunks(requests, done);  // pre-redesign baseline stays serial
-    return;
-  }
-  struct Miss {
+  struct Slot {
     ChunkReadRequest* req;
-    uint64_t read_gen;  // write generation the unlocked cold read will serve
+    size_t shard;
+    bool cold = false;      // missed DRAM: served by the cold round trip
+    uint64_t read_gen = 0;  // write generation that unlocked cold read serves
   };
-  std::vector<std::vector<ChunkReadRequest*>> by_shard(shards_.size());
+  // Grouped by shard (request order kept within a shard) so each phase takes every
+  // shard lock once.
+  std::vector<Slot> slots;
+  slots.reserve(requests.size());
   for (ChunkReadRequest& req : requests) {
     req.result = -1;
-    by_shard[ShardOf(req.key.context_id)].push_back(&req);
+    slots.push_back(Slot{&req, ShardOf(req.key.context_id)});
   }
-  // Phase 1 — per shard, under that shard's lock: serve hot hits and drain-queue
-  // rescues (ReadChunk's exact rules: short buffers fail with no side effects, a
-  // rescue re-admits only into FREE space) and snapshot each miss's generation.
-  std::vector<std::vector<Miss>> miss_by_shard(shards_.size());
-  size_t num_misses = 0;
-  bool rescued_pending = false;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) {
-      continue;
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.req < b.req;
+  });
+  const auto for_each_shard_run = [&](const auto& fn) {
+    for (size_t lo = 0; lo < slots.size();) {
+      size_t hi = lo + 1;
+      while (hi < slots.size() && slots[hi].shard == slots[lo].shard) {
+        ++hi;
+      }
+      fn(*shards_[slots[lo].shard], slots.data() + lo, slots.data() + hi);
+      lo = hi;
     }
-    Shard& shard = *shards_[s];
+  };
+
+  // Phase 1 — per shard, under that shard's lock: serve hot hits and drain-queue
+  // rescues and snapshot each miss's generation.
+  std::vector<ChunkReadRequest> cold_reqs;
+  bool rescued_pending = false;
+  for_each_shard_run([&](Shard& shard, Slot* begin, Slot* end) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (ChunkReadRequest* req : by_shard[s]) {
+    for (Slot* slot = begin; slot != end; ++slot) {
+      ChunkReadRequest* req = slot->req;
       const ChunkKey& key = req->key;
       const auto hot_it = shard.hot.find(key);
       if (hot_it != shard.hot.end()) {
@@ -580,6 +451,12 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       }
       const auto pit = shard.pending.find(key);
       if (pit != shard.pending.end()) {
+        // Rescue: the chunk was evicted but its write-back has not retired — the
+        // payload is still in DRAM, so serve it from the drain queue (a DRAM hit).
+        // Re-admit it (still dirty; its queued flush is cancelled by the erase) only
+        // when it fits the stripe's FREE space: a rescue must never trigger an
+        // eviction, or alternating reads of a context bigger than its stripe would
+        // cycle rescue→re-admit→evict→re-flush and double the cold-tier write IO.
         const std::shared_ptr<const std::vector<char>> data = pit->second.data;
         const int64_t size = static_cast<int64_t>(data->size());
         if (size > req->buf_bytes) {
@@ -604,40 +481,41 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
       if (iit == shard.index.end() || iit->second.size > req->buf_bytes) {
         continue;  // absent or short buffer: no IO, no stats, no side effects
       }
-      miss_by_shard[s].push_back(Miss{req, iit->second.gen});
-      ++num_misses;
+      slot->cold = true;
+      slot->read_gen = iit->second.gen;
+      cold_reqs.push_back(ChunkReadRequest{key, req->buf, req->buf_bytes, -1});
     }
-  }
+  });
   if (rescued_pending) {
     SignalDrainProgress();
   }
-  if (num_misses > 0) {
+  if (!cold_reqs.empty()) {
     // Phase 2 — every shard lock released: ONE batched cold round trip for all
-    // misses, reading straight into the callers' buffers.
-    std::vector<ChunkReadRequest> cold_reqs;
-    cold_reqs.reserve(num_misses);
-    for (const auto& misses : miss_by_shard) {
-      for (const Miss& m : misses) {
-        cold_reqs.push_back(ChunkReadRequest{m.req->key, m.req->buf, m.req->buf_bytes,
-                                             /*result=*/-1});
-      }
-    }
+    // misses, reading straight into the callers' buffers. Other contexts — and
+    // other chunks of these — proceed concurrently.
     cold_->ReadChunks(cold_reqs);
     // Phase 3 — per shard, under the lock again: stats + gen-checked clean
-    // promotion (a concurrent write or delete invalidates the snapshot), one
-    // eviction pass per shard, tickets dispatched after release.
+    // promotion, one eviction pass per shard that promoted, tickets dispatched
+    // after release.
     std::vector<DrainTicket> tickets;
     size_t j = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (miss_by_shard[s].empty()) {
-        continue;
+    for_each_shard_run([&](Shard& shard, Slot* begin, Slot* end) {
+      if (std::none_of(begin, end, [](const Slot& slot) { return slot.cold; })) {
+        return;
       }
-      Shard& shard = *shards_[s];
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (const Miss& m : miss_by_shard[s]) {
+      bool promoted = false;
+      for (Slot* slot = begin; slot != end; ++slot) {
+        if (!slot->cold) {
+          continue;
+        }
+        ChunkReadRequest* req = slot->req;
         const int64_t got = cold_reqs[j++].result;
         if (got == kChunkCorrupt) {
-          m.req->result = kChunkCorrupt;  // detected-corrupt is NOT a miss
+          // Detected at the cold tier: surface the distinct status (the chunk
+          // EXISTS, callers must fall back to recompute, not re-read) and never
+          // promote damage.
+          req->result = kChunkCorrupt;
           ++crc_failures_;
           continue;
         }
@@ -647,24 +525,58 @@ void TieredBackend::ReadChunks(std::span<ChunkReadRequest> requests,
         ++total_reads_;
         ++cold_hits_;
         cold_hit_bytes_ += got;
-        m.req->result = got;
-        const auto iit = shard.index.find(m.req->key);
-        const bool current = iit != shard.index.end() && iit->second.gen == m.read_gen;
+        req->result = got;
+        // Promote: a restored context is likely to be restored again soon (the
+        // §6.2.1 caching argument); admit the chunk clean so re-eviction is free.
+        // Skip when the chunk can never fit its stripe's budget (a 0-budget
+        // write-through tier would otherwise evict-and-churn on every read), or
+        // when the bytes read are stale: a concurrent write bumps the index
+        // generation (even if its own copy has already drained through to the cold
+        // tier), and a delete removes the entry — either way this copy must not be
+        // re-admitted over newer durable data.
+        const auto iit = shard.index.find(req->key);
+        const bool current = iit != shard.index.end() && iit->second.gen == slot->read_gen;
         const bool displaced =
-            shard.hot.count(m.req->key) != 0 || shard.pending.count(m.req->key) != 0;
+            shard.hot.count(req->key) != 0 || shard.pending.count(req->key) != 0;
         if (current && !displaced) {
           if (got <= shard.capacity) {
-            InsertHotLocked(shard, m.req->key, static_cast<const char*>(m.req->buf),
-                            got, /*dirty=*/false);
-            TouchLocked(shard, m.req->key.context_id);
+            InsertHotLocked(shard, req->key, static_cast<const char*>(req->buf), got,
+                            /*dirty=*/false);
+            TouchLocked(shard, req->key.context_id);
+            promoted = true;
           } else {
             ++promotions_skipped_;
           }
         }
       }
-      EvictToBudgetLocked(shard, &tickets);
-    }
+      if (promoted) {
+        EvictToBudgetLocked(shard, &tickets);
+      }
+    });
     DispatchTickets(std::move(tickets));
+  }
+  if (done) {
+    done();
+  }
+}
+
+void TieredBackend::ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                                         const BatchCompletion& done) const {
+  ReadChunks(requests);
+  std::vector<ChunkReadRequest> corrupt;
+  for (const ChunkReadRequest& req : requests) {
+    if (req.result == kChunkCorrupt) {
+      corrupt.push_back(req);
+    }
+  }
+  if (!corrupt.empty()) {
+    cold_->ReadChunksUnverified(corrupt);
+    size_t j = 0;
+    for (ChunkReadRequest& req : requests) {
+      if (req.result == kChunkCorrupt) {
+        req.result = corrupt[j++].result;
+      }
+    }
   }
   if (done) {
     done();
@@ -735,15 +647,6 @@ std::vector<std::pair<ChunkKey, int64_t>> TieredBackend::ListChunks() const {
     }
   }
   return out;
-}
-
-int64_t TieredBackend::ReadChunkUnverified(const ChunkKey& key, void* buf,
-                                           int64_t buf_bytes) const {
-  const int64_t got = ReadChunk(key, buf, buf_bytes);
-  if (got != kChunkCorrupt) {
-    return got;  // DRAM hits are trusted; a verified cold hit is already vetted
-  }
-  return cold_->ReadChunkUnverified(key, buf, buf_bytes);
 }
 
 bool TieredBackend::DeleteChunk(const ChunkKey& key) {

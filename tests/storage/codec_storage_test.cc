@@ -215,9 +215,9 @@ TEST_F(CodecStorageTest, DecodedBytesBitStableAcrossBackends) {
   }
 }
 
-// A backend that stores chunks in preallocated slots: WriteChunk never allocates, so
-// the whole steady-state save path (snapshot + flush + backend) can be asserted
-// allocation-free.
+// A backend that stores chunks in preallocated slots: a write never allocates, so
+// the whole steady-state save path (snapshot + flush + backend, including the base
+// class's batch-of-one WriteChunk) can be asserted allocation-free.
 class PreallocatedBackend : public StorageBackend {
  public:
   PreallocatedBackend(int64_t chunk_bytes, int64_t slots)
@@ -226,13 +226,32 @@ class PreallocatedBackend : public StorageBackend {
       s.resize(static_cast<size_t>(chunk_bytes));
     }
   }
-  bool WriteChunk(const ChunkKey& key, const void* data, int64_t bytes) override {
-    auto& slot = slots_[static_cast<size_t>(key.chunk_index) % slots_.size()];
-    std::memcpy(slot.data(), data, static_cast<size_t>(bytes));
-    ++writes_;
+  bool WriteChunks(std::span<ChunkWriteRequest> requests,
+                   const BatchCompletion& done = {}) override {
+    for (ChunkWriteRequest& req : requests) {
+      auto& slot = slots_[static_cast<size_t>(req.key.chunk_index) % slots_.size()];
+      std::memcpy(slot.data(), req.data, static_cast<size_t>(req.bytes));
+      ++writes_;
+      req.ok = true;
+    }
+    if (done) {
+      done();
+    }
     return true;
   }
-  int64_t ReadChunk(const ChunkKey&, void*, int64_t) const override { return -1; }
+  void ReadChunks(std::span<ChunkReadRequest> requests,
+                  const BatchCompletion& done = {}) const override {
+    ReadChunksUnverified(requests, done);
+  }
+  void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                            const BatchCompletion& done = {}) const override {
+    for (ChunkReadRequest& req : requests) {
+      req.result = -1;
+    }
+    if (done) {
+      done();
+    }
+  }
   bool HasChunk(const ChunkKey&) const override { return false; }
   int64_t ChunkSize(const ChunkKey&) const override { return -1; }
   void DeleteContext(int64_t) override {}

@@ -1,8 +1,8 @@
 // Cross-backend conformance for the batched read API (storage_backend.h's
-// ReadChunks contract): a batch must deliver exactly what N serial ReadChunk calls
-// would — same bytes, same per-request failures, same stats — on every backend, and
-// per-request failures (absent chunk, short buffer) must never poison the rest of
-// the batch or leave side effects.
+// ReadChunks contract): a batch must deliver exactly what N single-chunk calls
+// (batches of one) would — same bytes, same per-request failures, same stats — on
+// every backend, and per-request failures (absent chunk, short buffer) must never
+// poison the rest of the batch or leave side effects.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/storage/codec.h"
 #include "src/storage/dedup_backend.h"
 #include "src/storage/distributed_backend.h"
 #include "src/storage/file_backend.h"
@@ -36,6 +37,21 @@ std::vector<char> Payload(const ChunkKey& key, int64_t bytes) {
   }
   return data;
 }
+
+// A sealed v2 chunk (payload CRC in its header), so at-rest damage is detectable.
+std::vector<uint8_t> SealedChunk(uint8_t salt) {
+  constexpr int64_t kRows = 4, kCols = 32;
+  std::vector<uint8_t> chunk(
+      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, kRows, kCols)));
+  for (size_t i = sizeof(ChunkHeader); i < chunk.size(); ++i) {
+    chunk[i] = static_cast<uint8_t>(salt + i * 13);
+  }
+  WriteChunkHeader(ChunkCodec::kFp32, kRows, kCols, chunk.data());
+  return chunk;
+}
+
+// Flips a payload bit of a sealed chunk at rest.
+constexpr int64_t kPayloadBit = 8 * (sizeof(ChunkHeader) + 5) + 2;
 
 // One backend under test plus everything needed to clean it up.
 struct Fixture {
@@ -314,11 +330,70 @@ TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   }
   EXPECT_EQ(batches_before + 1, cold.read_batches())
       << "all 8 cold misses must share one batched cold-tier round trip";
+
+  // Unverified batch over sealed chunks, two of them damaged at rest: one verified
+  // cold round trip, then ONE unverified re-read of just the corrupt requests, which
+  // deliver the damaged bytes (fsck's view) without being promoted.
+  std::vector<std::vector<uint8_t>> sealed;
+  for (int64_t c = 0; c < 8; ++c) {
+    sealed.push_back(SealedChunk(static_cast<uint8_t>(c)));
+    ASSERT_TRUE(tiered.WriteChunk(ChunkKey{2, 0, c}, sealed.back().data(),
+                                  static_cast<int64_t>(sealed.back().size())));
+  }
+  tiered.Quiesce();
+  ASSERT_TRUE(cold.CorruptChunk(ChunkKey{2, 0, 3}, kPayloadBit));
+  ASSERT_TRUE(cold.CorruptChunk(ChunkKey{2, 0, 6}, kPayloadBit));
+  const int64_t unverified_before = cold.read_batches();
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i] = ChunkReadRequest{ChunkKey{2, 0, static_cast<int64_t>(i)}, bufs[i].data(),
+                               kChunkBytes, -1};
+  }
+  bool completed = false;
+  tiered.ReadChunksUnverified(reqs, [&completed] { completed = true; });
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(unverified_before + 2, cold.read_batches())
+      << "one verified round trip plus one unverified re-read of the corrupt chunks";
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    const int64_t bytes = static_cast<int64_t>(sealed[i].size());
+    ASSERT_EQ(bytes, reqs[i].result) << i;
+    const bool damaged = i == 3 || i == 6;
+    EXPECT_EQ(!damaged, std::memcmp(bufs[i].data(), sealed[i].data(),
+                                    static_cast<size_t>(bytes)) == 0)
+        << i;
+  }
+  EXPECT_EQ(2, tiered.Stats().crc_failures);
+
+  // With room in DRAM, a clean cold chunk of the same unverified batch is promoted
+  // and the damaged one is not.
+  MemoryBackend warm_mem(kChunkBytes);
+  InstrumentedBackend warm_cold(&warm_mem);
+  TieredBackend warm(&warm_cold, 4 * kChunkBytes, opts);
+  const std::vector<char> pad(kChunkBytes, 'p');
+  ASSERT_TRUE(warm.WriteChunk(ChunkKey{1, 0, 0}, sealed[0].data(),
+                              static_cast<int64_t>(sealed[0].size())));
+  ASSERT_TRUE(warm.WriteChunk(ChunkKey{1, 0, 1}, sealed[1].data(),
+                              static_cast<int64_t>(sealed[1].size())));
+  for (int64_t c = 0; c < 4; ++c) {  // evicts context 1 to the cold tier
+    ASSERT_TRUE(warm.WriteChunk(ChunkKey{2, 0, c}, pad.data(), kChunkBytes));
+  }
+  warm.Quiesce();
+  ASSERT_FALSE(warm.IsDramResident(ChunkKey{1, 0, 0}));
+  ASSERT_TRUE(warm_cold.CorruptChunk(ChunkKey{1, 0, 0}, kPayloadBit));
+  ChunkReadRequest pair[] = {
+      {ChunkKey{1, 0, 0}, bufs[0].data(), kChunkBytes, -1},
+      {ChunkKey{1, 0, 1}, bufs[1].data(), kChunkBytes, -1},
+  };
+  warm.ReadChunksUnverified(pair);
+  EXPECT_EQ(static_cast<int64_t>(sealed[0].size()), pair[0].result);
+  EXPECT_EQ(static_cast<int64_t>(sealed[1].size()), pair[1].result);
+  EXPECT_FALSE(warm.IsDramResident(ChunkKey{1, 0, 0})) << "damaged bytes promoted";
+  EXPECT_TRUE(warm.IsDramResident(ChunkKey{1, 0, 1}));
 }
 
 TEST(ReadChunksTest, InstrumentedForwardsBatchAndInjectsFailuresPerRequest) {
   MemoryBackend mem(kChunkBytes);
-  InstrumentedBackend wrapped(&mem);
+  InstrumentedBackend inner(&mem);  // observes what reaches the wrapped backend
+  InstrumentedBackend wrapped(&inner);
   const ChunkKey k1{1, 0, 0};
   const ChunkKey k2{1, 0, 1};
   const ChunkKey k3{1, 0, 2};
@@ -348,6 +423,19 @@ TEST(ReadChunksTest, InstrumentedForwardsBatchAndInjectsFailuresPerRequest) {
   EXPECT_EQ(700, reads[0].result);
   EXPECT_EQ(700, reads[1].result);
   EXPECT_EQ(1, wrapped.read_batches());
+  EXPECT_EQ(1, inner.read_batches());
+
+  // The unverified path goes through the same forwarder: one batch counted, the
+  // read hook fired per request, and one batch forwarded to the inner backend.
+  std::vector<ChunkKey> hooked;
+  wrapped.set_read_hook([&hooked](const ChunkKey& key) { hooked.push_back(key); });
+  reads[0].result = reads[1].result = -7;
+  wrapped.ReadChunksUnverified(reads);
+  EXPECT_EQ(700, reads[0].result);
+  EXPECT_EQ(700, reads[1].result);
+  EXPECT_EQ(2, wrapped.read_batches());
+  EXPECT_EQ((std::vector<ChunkKey>{k2, k3}), hooked);
+  EXPECT_EQ(2, inner.read_batches());
 }
 
 TEST(ReadChunksTest, FileBackendConcurrentReadsOfSameChunkAreRaceFree) {
@@ -420,31 +508,80 @@ TEST(ReadChunksTest, FileBackendFdCacheSurvivesOverwriteAndDelete) {
   fs::remove_all(dir);
 }
 
-TEST(ReadChunksTest, DefaultBaseImplementationServesAnyBackend) {
-  // The base-class sequential fallback must satisfy the same contract (a custom
-  // backend that never overrides ReadChunks still works).
-  class Minimal : public MemoryBackend {
+TEST(ReadChunksTest, SingleChunkCallsAreBatchesOfOne) {
+  // A backend that implements only the batched entries: the base class's
+  // ReadChunk / ReadChunkUnverified / WriteChunk must keep the single-chunk results
+  // (absent, short buffer, corrupt) by submitting one-request batches.
+  class BatchOnly : public StorageBackend {
    public:
-    using MemoryBackend::MemoryBackend;
+    explicit BatchOnly(StorageBackend* inner)
+        : StorageBackend(inner->chunk_bytes()), inner_(inner) {}
     void ReadChunks(std::span<ChunkReadRequest> requests,
                     const BatchCompletion& done = {}) const override {
-      StorageBackend::ReadChunks(requests, done);  // force the base path
+      read_sizes.push_back(requests.size());
+      inner_->ReadChunks(requests, done);
     }
+    void ReadChunksUnverified(std::span<ChunkReadRequest> requests,
+                              const BatchCompletion& done = {}) const override {
+      unverified_sizes.push_back(requests.size());
+      inner_->ReadChunksUnverified(requests, done);
+    }
+    bool WriteChunks(std::span<ChunkWriteRequest> requests,
+                     const BatchCompletion& done = {}) override {
+      write_sizes.push_back(requests.size());
+      return inner_->WriteChunks(requests, done);
+    }
+    bool HasChunk(const ChunkKey& key) const override { return inner_->HasChunk(key); }
+    int64_t ChunkSize(const ChunkKey& key) const override {
+      return inner_->ChunkSize(key);
+    }
+    void DeleteContext(int64_t context_id) override { inner_->DeleteContext(context_id); }
+    StorageStats Stats() const override { return inner_->Stats(); }
+    std::string Name() const override { return "batch_only"; }
+
+    mutable std::vector<size_t> read_sizes;
+    mutable std::vector<size_t> unverified_sizes;
+    std::vector<size_t> write_sizes;
+
+   private:
+    StorageBackend* inner_;
   };
-  Minimal backend(kChunkBytes);
+  MemoryBackend mem(kChunkBytes);
+  InstrumentedBackend chaos(&mem);
+  BatchOnly backend(&mem);
+
   const ChunkKey key{1, 0, 0};
-  const auto data = Payload(key, 900);
-  ASSERT_TRUE(backend.WriteChunk(key, data.data(), 900));
-  std::vector<char> buf(kChunkBytes);
-  ChunkReadRequest reqs[] = {
-      {key, buf.data(), kChunkBytes, -1},
-      {ChunkKey{2, 0, 0}, buf.data(), kChunkBytes, -1},
-  };
-  bool completed = false;
-  backend.ReadChunks(reqs, [&completed] { completed = true; });
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(900, reqs[0].result);
-  EXPECT_EQ(-1, reqs[1].result);
+  const auto sealed = SealedChunk(9);
+  const int64_t bytes = static_cast<int64_t>(sealed.size());
+  ASSERT_TRUE(backend.WriteChunk(key, sealed.data(), bytes));
+  EXPECT_EQ((std::vector<size_t>{1}), backend.write_sizes);
+
+  std::vector<char> buf(kChunkBytes, '\0');
+  EXPECT_EQ(bytes, backend.ReadChunk(key, buf.data(), kChunkBytes));
+  EXPECT_EQ(0, std::memcmp(buf.data(), sealed.data(), static_cast<size_t>(bytes)));
+  EXPECT_EQ(-1, backend.ReadChunk(ChunkKey{2, 0, 0}, buf.data(), kChunkBytes));
+
+  // Short buffer: -1, nothing written, no read counted.
+  const StorageStats before = backend.Stats();
+  std::vector<char> small(static_cast<size_t>(bytes - 1), '\x3c');
+  EXPECT_EQ(-1, backend.ReadChunk(key, small.data(), bytes - 1));
+  EXPECT_EQ(-1, backend.ReadChunkUnverified(key, small.data(), bytes - 1));
+  for (char c : small) {
+    ASSERT_EQ('\x3c', c);
+  }
+  EXPECT_EQ(before.total_reads, backend.Stats().total_reads);
+  EXPECT_EQ(before.ReadBytes(), backend.Stats().ReadBytes());
+
+  // Damage at rest: the verified call reports kChunkCorrupt, the unverified call
+  // still delivers the bytes.
+  ASSERT_TRUE(chaos.CorruptChunk(key, kPayloadBit));
+  EXPECT_EQ(kChunkCorrupt, backend.ReadChunk(key, buf.data(), kChunkBytes));
+  EXPECT_EQ(before.crc_failures + 1, backend.Stats().crc_failures);
+  EXPECT_EQ(bytes, backend.ReadChunkUnverified(key, buf.data(), kChunkBytes));
+  EXPECT_NE(0, std::memcmp(buf.data(), sealed.data(), static_cast<size_t>(bytes)));
+
+  EXPECT_EQ((std::vector<size_t>{1, 1, 1, 1}), backend.read_sizes);
+  EXPECT_EQ((std::vector<size_t>{1, 1}), backend.unverified_sizes);
 }
 
 }  // namespace
