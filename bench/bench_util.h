@@ -10,11 +10,15 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "src/common/simd.h"
 
 namespace hcache {
 
@@ -186,6 +190,26 @@ inline bool WriteJsonFile(const std::string& path, const JsonValue& v) {
     std::printf("wrote %s\n", path.c_str());
   }
   return ok;
+}
+
+// The host measured rows come from (core count, CPU model, SIMD tiers). Measured rows
+// are comparable only between equal fingerprints.
+inline JsonValue HostFingerprint() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+      break;
+    }
+  }
+  JsonValue host = JsonValue::Object();
+  host.Set("nproc", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Set("cpu_model", cpu)
+      .Set("simd_detected", SimdTierName(DetectedSimdTier()))
+      .Set("simd_active", SimdTierName(ActiveSimdTier()));
+  return host;
 }
 
 }  // namespace hcache

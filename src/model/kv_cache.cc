@@ -1,5 +1,7 @@
 #include "src/model/kv_cache.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -21,7 +23,10 @@ KvBlockPool::KvBlockPool(const KvPoolConfig& config) : config_(config) {
   CHECK_GT(config_.block_tokens, 0);
   CHECK_GT(config_.num_layers, 0);
   CHECK_GT(config_.kv_dim, 0);
-  storage_.assign(static_cast<size_t>(config_.num_blocks * BlockFloats()), 0.0f);
+  const size_t bytes = static_cast<size_t>(config_.num_blocks * BlockFloats()) * sizeof(float);
+  void* slab = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  CHECK(slab != MAP_FAILED) << "cannot map a " << bytes << "-byte KV pool";
+  storage_ = std::unique_ptr<float, Unmap>(static_cast<float*>(slab), Unmap{bytes});
   refcounts_.assign(static_cast<size_t>(config_.num_blocks), 0);
   free_list_.reserve(static_cast<size_t>(config_.num_blocks));
   // Pop order is LIFO from the back; push ids descending so block 0 allocates first,
@@ -30,6 +35,8 @@ KvBlockPool::KvBlockPool(const KvPoolConfig& config) : config_(config) {
     free_list_.push_back(i);
   }
 }
+
+void KvBlockPool::Unmap::operator()(float* p) const { munmap(p, bytes); }
 
 int64_t KvBlockPool::BlockFloats() const {
   return config_.num_layers * 2 * config_.block_tokens * config_.kv_dim;
@@ -67,7 +74,7 @@ void KvBlockPool::Release(int64_t block_id) {
 float* KvBlockPool::Key(int64_t block_id, int64_t layer) {
   DCHECK(block_id >= 0 && block_id < config_.num_blocks);
   DCHECK(layer >= 0 && layer < config_.num_layers);
-  return storage_.data() + block_id * BlockFloats() + layer * LayerFloats();
+  return storage_.get() + block_id * BlockFloats() + layer * LayerFloats();
 }
 
 const float* KvBlockPool::Key(int64_t block_id, int64_t layer) const {

@@ -10,6 +10,7 @@
 #define HCACHE_SRC_MODEL_KV_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/model/config.h"
@@ -60,8 +61,15 @@ class KvBlockPool {
   int64_t BlockFloats() const;
   int64_t LayerFloats() const;
 
+  struct Unmap {
+    size_t bytes;
+    void operator()(float* p) const;
+  };
+
   KvPoolConfig config_;
-  std::vector<float> storage_;
+  // One anonymous mapping: its pages are zero and take no memory until first written,
+  // so a pool sized for the worst case costs only the blocks actually used.
+  std::unique_ptr<float, Unmap> storage_;
   std::vector<int32_t> refcounts_;
   std::vector<int64_t> free_list_;
 };

@@ -8,6 +8,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/kernels.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/rope.h"
 
@@ -15,6 +16,13 @@ namespace hcache {
 
 Transformer::Transformer(const ModelWeights* weights) : weights_(weights) {
   CHECK(weights != nullptr);
+  packed_.reserve(weights->layers.size());
+  for (const LayerWeights& lw : weights->layers) {
+    packed_.push_back({PackedWeights(lw.wq), PackedWeights(lw.wk), PackedWeights(lw.wv),
+                       PackedWeights(lw.wo), PackedWeights(lw.w_gate), PackedWeights(lw.w_up),
+                       PackedWeights(lw.w_down)});
+  }
+  lm_head_ = PackedWeights(weights->lm_head);
 }
 
 Tensor Transformer::Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const {
@@ -62,11 +70,13 @@ void Transformer::AddBiasRows(Tensor& t, const Tensor& bias) {
   }
 }
 
-void Transformer::ProjectKv(const LayerWeights& lw, const Tensor& normed,
-                            const int32_t* positions, Tensor* k_out, Tensor* v_out) const {
+void Transformer::ProjectKv(int64_t layer, const Tensor& normed, const int32_t* positions,
+                            Tensor* k_out, Tensor* v_out) const {
   const ModelConfig& cfg = config();
-  *k_out = MatMulTransposedB(normed, lw.wk);
-  *v_out = MatMulTransposedB(normed, lw.wv);
+  const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
+  const PackedLayer& pw = packed_[static_cast<size_t>(layer)];
+  *k_out = MatMulPacked(normed, pw.wk);
+  *v_out = MatMulPacked(normed, pw.wv);
   AddBiasRows(*k_out, lw.bk);
   AddBiasRows(*v_out, lw.bv);
   if (cfg.position == PositionKind::kRope) {
@@ -92,10 +102,21 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
   const bool alibi = cfg.position == PositionKind::kAlibi;
 
   Tensor out({n, cfg.hidden_dim});
+  // Row pointers into the paged cache, resolved once for every token and head.
+  const int64_t max_len = *std::max_element(positions, positions + n) + 1;
+  std::vector<const float*> k_rows(static_cast<size_t>(max_len));
+  std::vector<const float*> v_rows(static_cast<size_t>(max_len));
+  for (int64_t j = 0; j < max_len; ++j) {
+    k_rows[static_cast<size_t>(j)] = seq.KeyRow(layer, j);
+    v_rows[static_cast<size_t>(j)] = seq.ValueRow(layer, j);
+  }
+  const TensorKernels& kern = ActiveTensorKernels();
   // Every (token, head) pair reads shared K/V but writes only its own slice of `out`,
   // so tokens parallelize freely; each token's math is untouched, keeping the output
   // bit-identical to the serial loop at any thread count. Later tokens attend over
-  // longer prefixes, so a fine grain (1 token) load-balances the causal skew.
+  // longer prefixes, so a fine grain (1 token) load-balances the causal skew. The QK
+  // dot and the AV update run in the kernels' canonical orders (kernels.h), the same
+  // on every tier.
   ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
     thread_local std::vector<float> scores;  // reused across tokens within each thread
     for (int64_t i = i0; i < i1; ++i) {
@@ -104,14 +125,11 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
       for (int64_t h = 0; h < num_heads; ++h) {
         const float* q_head = q.row(i) + h * head_dim;
         const int64_t kv_head_off = (h / group) * head_dim;
+        kern.qk_dots(q_head, k_rows.data(), kv_head_off, causal_len, head_dim,
+                     scores.data());
         const float slope = alibi ? AlibiSlope(h) : 0.0f;
         for (int64_t j = 0; j < causal_len; ++j) {
-          const float* k_row = seq.KeyRow(layer, j) + kv_head_off;
-          float dot = 0.0f;
-          for (int64_t d = 0; d < head_dim; ++d) {
-            dot += q_head[d] * k_row[d];
-          }
-          float s = dot * scale;
+          float s = scores[static_cast<size_t>(j)] * scale;
           if (alibi) {
             // Linear distance penalty on the score; K stays position-free, which is why
             // ALiBi models restore with a bare projection.
@@ -120,37 +138,33 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
           scores[static_cast<size_t>(j)] = s;
         }
         SoftmaxRow(scores.data(), causal_len);
-        float* out_head = out.row(i) + h * head_dim;
-        for (int64_t j = 0; j < causal_len; ++j) {
-          const float a = scores[static_cast<size_t>(j)];
-          const float* v_row = seq.ValueRow(layer, j) + kv_head_off;
-          for (int64_t d = 0; d < head_dim; ++d) {
-            out_head[d] += a * v_row[d];
-          }
-        }
+        kern.weighted_rows(scores.data(), v_rows.data(), kv_head_off, causal_len, head_dim,
+                           out.row(i) + h * head_dim);
       }
     }
   });
   return out;
 }
 
-Tensor Transformer::Ffn(const LayerWeights& lw, const Tensor& x) const {
+Tensor Transformer::Ffn(int64_t layer, const Tensor& x) const {
   const ModelConfig& cfg = config();
+  const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
+  const PackedLayer& pw = packed_[static_cast<size_t>(layer)];
   if (cfg.activation == ActivationKind::kSwiGlu) {
-    Tensor gate = MatMulTransposedB(x, lw.w_gate);
-    Tensor up = MatMulTransposedB(x, lw.w_up);
+    Tensor gate = MatMulPacked(x, pw.w_gate);
+    Tensor up = MatMulPacked(x, pw.w_up);
     SiluInPlace(gate);
     MulInPlace(gate, up);
-    return MatMulTransposedB(gate, lw.w_down);
+    return MatMulPacked(gate, pw.w_down);
   }
-  Tensor mid = MatMulTransposedB(x, lw.w_up);
+  Tensor mid = MatMulPacked(x, pw.w_up);
   AddBiasRows(mid, lw.b_up);
   if (cfg.activation == ActivationKind::kGelu) {
     GeluInPlace(mid);
   } else {
     ReluInPlace(mid);
   }
-  Tensor out = MatMulTransposedB(mid, lw.w_down);
+  Tensor out = MatMulPacked(mid, pw.w_down);
   AddBiasRows(out, lw.b_down);
   return out;
 }
@@ -181,18 +195,19 @@ Tensor Transformer::ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSe
   Tensor normed({n, cfg.hidden_dim});
   for (int64_t layer = 0; layer < num_layers; ++layer) {
     const LayerWeights& lw = weights_->layers[static_cast<size_t>(layer)];
+    const PackedLayer& pw = packed_[static_cast<size_t>(layer)];
     if (sink != nullptr) {
       sink->OnLayerInput(layer, h, positions.data(), n);
     }
 
     Normalize(h, lw.attn_norm_weight, lw.attn_norm_bias, &normed);
-    Tensor q = MatMulTransposedB(normed, lw.wq);
+    Tensor q = MatMulPacked(normed, pw.wq);
     AddBiasRows(q, lw.bq);
     if (cfg.position == PositionKind::kRope) {
       ApplyRope(q, positions.data(), cfg.num_heads, cfg.head_dim());
     }
     Tensor k, v;
-    ProjectKv(lw, normed, positions.data(), &k, &v);
+    ProjectKv(layer, normed, positions.data(), &k, &v);
     seq->WriteKv(layer, start, k, v);
     if (layer == 0) {
       // Tokens become visible to attention once their layer-0 K/V exist; later layers
@@ -201,19 +216,19 @@ Tensor Transformer::ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSe
     }
 
     Tensor attn = Attention(layer, q, *seq, positions.data(), n);
-    Tensor o = MatMulTransposedB(attn, lw.wo);
+    Tensor o = MatMulPacked(attn, pw.wo);
     AddBiasRows(o, lw.bo);
     AddInPlace(h, o);
 
     Normalize(h, lw.ffn_norm_weight, lw.ffn_norm_bias, &normed);
-    Tensor f = Ffn(lw, normed);
+    Tensor f = Ffn(layer, normed);
     AddInPlace(h, f);
   }
   return h;
 }
 
 Tensor Transformer::Logits(const Tensor& hidden) const {
-  return MatMulTransposedB(hidden, weights_->lm_head);
+  return MatMulPacked(hidden, lm_head_);
 }
 
 std::vector<int32_t> Transformer::GreedyDecode(int32_t first_token, int64_t steps,
@@ -298,7 +313,7 @@ void Transformer::RestoreLayerKv(int64_t layer, const Tensor& hidden, const int3
   // required for exactness and is covered by the epsilon term of §3.2's cost analysis.
   Tensor normed({hidden.dim(0), cfg.hidden_dim});
   Normalize(hidden, lw.attn_norm_weight, lw.attn_norm_bias, &normed);
-  ProjectKv(lw, normed, positions, k_out, v_out);
+  ProjectKv(layer, normed, positions, k_out, v_out);
 }
 
 }  // namespace hcache

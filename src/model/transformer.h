@@ -5,7 +5,10 @@
 // restoring KV from hidden states is checked against this implementation bit-for-bit.
 // Determinism contract: all kernels accumulate in a fixed, batch-size-independent order
 // per output row, so computing K/V for a token during prefill and recomputing it later
-// from the saved layer input produces *identical* floats.
+// from the saved layer input produces *identical* floats. The order is also independent
+// of the SIMD tier (src/common/simd.h): the GEMM and attention kernels of every tier are
+// bit-identical to the scalar reference, so a forward pass on one tier and a restore on
+// another agree too (tests/tensor/kernel_matrix_test.cc).
 //
 // Structure (pre-norm, as in Llama2 and OPT):
 //   h_L  --(capture: this is HCache's hidden state for layer L)-->
@@ -23,6 +26,7 @@
 #include "src/common/rng.h"
 #include "src/model/kv_cache.h"
 #include "src/model/weights.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/tensor.h"
 
 namespace hcache {
@@ -42,7 +46,8 @@ class HiddenStateSink {
 
 class Transformer {
  public:
-  // `weights` must outlive the transformer.
+  // `weights` must outlive the transformer and stay unchanged: its projection matrices
+  // are packed here, once, into the GEMM kernels' panel layout.
   explicit Transformer(const ModelWeights* weights);
 
   const ModelConfig& config() const { return weights_->config; }
@@ -96,15 +101,22 @@ class Transformer {
   void Normalize(const Tensor& x, const Tensor& weight, const Tensor& bias, Tensor* out) const;
   // Projects normed activations to K/V (+bias, +RoPE). Shared verbatim by the forward
   // pass and RestoreLayerKv — sharing the code path is what makes restoration lossless.
-  void ProjectKv(const LayerWeights& lw, const Tensor& normed, const int32_t* positions,
+  void ProjectKv(int64_t layer, const Tensor& normed, const int32_t* positions,
                  Tensor* k_out, Tensor* v_out) const;
   float AlibiSlope(int64_t head) const;
   Tensor Attention(int64_t layer, const Tensor& q, const PagedKvSequence& seq,
                    const int32_t* positions, int64_t n) const;
-  Tensor Ffn(const LayerWeights& lw, const Tensor& x) const;
+  Tensor Ffn(int64_t layer, const Tensor& x) const;
   static void AddBiasRows(Tensor& t, const Tensor& bias);
 
+  // One layer's projections in panel form (w_gate stays empty for non-SwiGLU models).
+  struct PackedLayer {
+    PackedWeights wq, wk, wv, wo, w_gate, w_up, w_down;
+  };
+
   const ModelWeights* weights_;
+  std::vector<PackedLayer> packed_;
+  PackedWeights lm_head_;
 };
 
 }  // namespace hcache

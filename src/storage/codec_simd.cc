@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "src/common/logging.h"
 #include "src/storage/codec.h"
@@ -447,7 +443,7 @@ __attribute__((target("avx512f"))) void Int8DequantizeAvx512(const int8_t* src,
 // ================================== crc32c ======================================
 //
 // One hardware kernel shared by every vector tier: the crc32q instruction is SSE4.2
-// (a strict subset of the F16C+AVX+SSE4.1 floor DetectTier requires for any vector
+// (a strict subset of the F16C+AVX+SSE4.1 floor DetectedSimdTier() requires for any vector
 // tier), and nothing wider helps. What DOES help is breaking the dependency chain:
 // crc32q retires 1/cycle but has 3-cycle latency, so a single chained loop runs at a
 // third of peak. Large buffers are split into three independent streams checksummed
@@ -632,98 +628,7 @@ constexpr CodecKernels kAvx512Kernels = kScalarKernels;
 constexpr CodecKernels kKernelTables[kNumSimdTiers] = {kScalarKernels, kF16cKernels,
                                                        kAvx2Kernels, kAvx512Kernels};
 
-SimdTier DetectTier() {
-#if HCACHE_CODEC_X86
-  __builtin_cpu_init();
-  // Every vector tier converts through F16C and checksums through the SSE4.2 crc32
-  // instruction; without them only scalar is usable.
-  if (!__builtin_cpu_supports("f16c") || !__builtin_cpu_supports("avx") ||
-      !__builtin_cpu_supports("sse4.1") || !__builtin_cpu_supports("sse4.2")) {
-    return SimdTier::kScalar;
-  }
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return SimdTier::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return SimdTier::kAvx2;
-  }
-  return SimdTier::kF16c;
-#else
-  return SimdTier::kScalar;
-#endif
-}
-
-// Returns the tier named by HCACHE_SIMD, or -1 when unset / unrecognized (the
-// latter logs once and falls back to full dispatch).
-int ParseEnvTier() {
-  const char* env = std::getenv("HCACHE_SIMD");
-  if (env == nullptr || *env == '\0') {
-    return -1;
-  }
-  std::string s(env);
-  for (char& c : s) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (s == "scalar") return static_cast<int>(SimdTier::kScalar);
-  if (s == "f16c") return static_cast<int>(SimdTier::kF16c);
-  if (s == "avx2") return static_cast<int>(SimdTier::kAvx2);
-  if (s == "avx512") return static_cast<int>(SimdTier::kAvx512);
-  HCACHE_LOG_WARN << "HCACHE_SIMD=" << env
-                  << " not recognized (want scalar|f16c|avx2|avx512); using detected tier";
-  return -1;
-}
-
-SimdTier InitialTier() {
-  const SimdTier detected = DetectTier();
-  const int requested = ParseEnvTier();
-  if (requested < 0) {
-    return detected;
-  }
-  if (requested > static_cast<int>(detected)) {
-    HCACHE_LOG_WARN << "HCACHE_SIMD requests " << SimdTierName(static_cast<SimdTier>(requested))
-                    << " but this CPU tops out at " << SimdTierName(detected)
-                    << "; clamping";
-    return detected;
-  }
-  return static_cast<SimdTier>(requested);
-}
-
-std::atomic<int>& ActiveTierCell() {
-  static std::atomic<int> cell{static_cast<int>(InitialTier())};
-  return cell;
-}
-
 }  // namespace
-
-const char* SimdTierName(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar:
-      return "scalar";
-    case SimdTier::kF16c:
-      return "f16c";
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kAvx512:
-      return "avx512";
-  }
-  return "?";
-}
-
-SimdTier DetectedSimdTier() {
-  static const SimdTier tier = DetectTier();
-  return tier;
-}
-
-SimdTier ActiveSimdTier() {
-  return static_cast<SimdTier>(ActiveTierCell().load(std::memory_order_acquire));
-}
-
-SimdTier ForceSimdTier(SimdTier tier) {
-  const SimdTier clamped = std::min(tier, DetectedSimdTier());
-  ActiveTierCell().store(static_cast<int>(clamped), std::memory_order_release);
-  return clamped;
-}
 
 const CodecKernels& CodecKernelsFor(SimdTier tier) {
   const int t = static_cast<int>(tier);

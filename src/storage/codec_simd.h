@@ -23,36 +23,18 @@
 // std::max/std::min chain). Restored state therefore stays bit-stable across ISAs,
 // thread counts, and backends.
 //
-// Dispatch: the active tier is chosen once from CPUID, clamped by the HCACHE_SIMD
-// environment variable (scalar|f16c|avx2|avx512 — requests above what the CPU
-// supports clamp down with a warning). ForceSimdTier() overrides it in-process so
-// the bit-exactness matrix test and the per-ISA bench rows can iterate every tier
-// the machine can execute.
+// Dispatch: the tables are indexed by the process-wide SimdTier (src/common/simd.h),
+// the same tier the functional plane's compute kernels (src/tensor/kernels.h) read —
+// one CPUID probe, one HCACHE_SIMD clamp and one ForceSimdTier() hook for both. The
+// tier API is re-exported here so codec callers keep including this header.
 #ifndef HCACHE_SRC_STORAGE_CODEC_SIMD_H_
 #define HCACHE_SRC_STORAGE_CODEC_SIMD_H_
 
 #include <cstdint>
 
+#include "src/common/simd.h"
+
 namespace hcache {
-
-enum class SimdTier : int { kScalar = 0, kF16c = 1, kAvx2 = 2, kAvx512 = 3 };
-
-inline constexpr int kNumSimdTiers = 4;
-
-const char* SimdTierName(SimdTier tier);
-
-// Best tier this CPU can execute (CPUID, cached after the first call).
-SimdTier DetectedSimdTier();
-
-// Tier the codec currently dispatches to: DetectedSimdTier() clamped by HCACHE_SIMD
-// (read once), or whatever ForceSimdTier() last installed.
-SimdTier ActiveSimdTier();
-
-// Installs `tier` (clamped to DetectedSimdTier() — requesting an ISA the CPU lacks
-// never selects it) and returns the tier actually active. Test/bench hook; safe to
-// call concurrently with kernel users (the table pointer swap is atomic), though
-// in-flight conversions finish on the tier they started with.
-SimdTier ForceSimdTier(SimdTier tier);
 
 // One ISA tier's convert kernels. All pointers are always non-null; every kernel
 // accepts any n >= 0 and unaligned pointers (ragged tails run the scalar epilogue).

@@ -5,44 +5,32 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/tensor/kernels.h"
 
 namespace hcache {
 
 namespace {
 
 // BLIS-style cache blocking: a kKc x kNc B-panel (~256 KiB) stays L2-resident while a
-// kMc x kKc A-block (~64 KiB) streams through L1. The register tile is kMr x kNr
-// (4 x 16 floats = one 4x16 accumulator block the compiler keeps in vector registers).
-constexpr int64_t kMc = 64;
-constexpr int64_t kKc = 256;
-constexpr int64_t kNc = 256;
-constexpr int64_t kMr = 4;
-constexpr int64_t kNr = 16;
+// kMc x kKc A-block (~64 KiB) streams through it. The register tile belongs to the
+// tier's kernel (kernels.h); A is read in place, B in kNr-column strips.
+constexpr int64_t kMc = kGemmMc;
+constexpr int64_t kKc = kGemmKc;
+constexpr int64_t kNc = kGemmNc;
+constexpr int64_t kNr = kGemmNr;
 
 // Below this many multiply-adds, skip the shared pool entirely — decode-phase matmuls
-// (m == 1) are latency-sensitive and the packing + dispatch overhead dominates.
+// (m == 1) are latency-sensitive and the dispatch overhead dominates.
 constexpr int64_t kParallelWorkThreshold = 1 << 16;
 
 constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Packs the mc x kc block of A starting at `a` (row-major, leading dimension lda) into
-// kMr-row strips: ap[strip][p * kMr + r] = A[strip * kMr + r][p]. Rows past mc are
-// zero-filled so the microkernel always runs a full kMr x kNr tile; the padded rows'
-// outputs are simply never stored.
-void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* ap) {
-  for (int64_t i0 = 0; i0 < mc; i0 += kMr) {
-    const int64_t rows = std::min(kMr, mc - i0);
-    for (int64_t p = 0; p < kc; ++p) {
-      for (int64_t r = 0; r < rows; ++r) {
-        ap[p * kMr + r] = a[(i0 + r) * lda + p];
-      }
-      for (int64_t r = rows; r < kMr; ++r) {
-        ap[p * kMr + r] = 0.0f;
-      }
-    }
-    ap += kc * kMr;
-  }
-}
+// Where one kc x nc block of op(B) lives in strip form: strip s of the block starts at
+// data + s * strip_stride.
+struct PanelBlock {
+  const float* data;
+  int64_t strip_stride;
+};
 
 // Packs the kc x nc block of op(B) with top-left element (p0, j0) into kNr-column
 // strips: bp[strip][p * kNr + j] = op(B)[p0 + p][j0 + strip * kNr + j]. For GemmNN,
@@ -73,111 +61,24 @@ void PackB(const float* b, int64_t ldb, int64_t p0, int64_t j0, int64_t kc, int6
   }
 }
 
-// Register-tiled inner kernel: accumulates a full kMr x kNr tile over kc in local
-// accumulators, then stores the mr x nr valid region. The k-loop body is one
-// fixed-trip-count j-loop with the four A rows unrolled by hand — the shape GCC's
-// vectorizer reliably turns into four independent fma streams over kNr lanes.
-// `assign` overwrites C (first k-block of a non-accumulating GEMM); otherwise the tile
-// sum is added — so per element C[i][j] receives its k-partial sums in a fixed order
-// that depends only on the k blocking, never on the m/n partitioning or thread count.
-static_assert(kMr == 4, "the microkernel unrolls up to four A rows");
-
-// MR is the number of live A rows in the tile (1..kMr); rows past MR are the zero
-// padding PackA added and their accumulators are never materialized, so a 1-row GEMM
-// (decode, GEMV shape) does 1/4 of the tile work. Each surviving lane's chain
-// `acc_r[j] += a_r * b_j` is textually identical in every instantiation, keeping the
-// result bit-independent of which MR the tile geometry selects.
-template <int MR>
-void MicroKernelImpl(const float* ap, const float* bp, int64_t kc, float* c, int64_t ldc,
-                     int64_t mr, int64_t nr, bool assign) {
-  float acc0[kNr] = {}, acc1[kNr] = {}, acc2[kNr] = {}, acc3[kNr] = {};
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* a_col = ap + p * kMr;
-    const float* b_row = bp + p * kNr;
-    const float a0 = a_col[0];
-    const float a1 = MR > 1 ? a_col[1] : 0.0f;
-    const float a2 = MR > 2 ? a_col[2] : 0.0f;
-    const float a3 = MR > 3 ? a_col[3] : 0.0f;
-    for (int64_t j = 0; j < kNr; ++j) {
-      const float bj = b_row[j];
-      acc0[j] += a0 * bj;
-      if constexpr (MR > 1) acc1[j] += a1 * bj;
-      if constexpr (MR > 2) acc2[j] += a2 * bj;
-      if constexpr (MR > 3) acc3[j] += a3 * bj;
-    }
-  }
-  float* const rows[kMr] = {acc0, acc1, acc2, acc3};
-  if (nr == kNr) {  // full-width tile: fixed-bound stores
-    for (int64_t r = 0; r < mr; ++r) {
-      float* c_row = c + r * ldc;
-      const float* acc = rows[r];
-      if (assign) {
-        for (int64_t j = 0; j < kNr; ++j) {
-          c_row[j] = acc[j];
-        }
-      } else {
-        for (int64_t j = 0; j < kNr; ++j) {
-          c_row[j] += acc[j];
-        }
-      }
-    }
-    return;
-  }
-  for (int64_t r = 0; r < mr; ++r) {
-    float* c_row = c + r * ldc;
-    const float* acc = rows[r];
-    if (assign) {
-      for (int64_t j = 0; j < nr; ++j) {
-        c_row[j] = acc[j];
-      }
-    } else {
-      for (int64_t j = 0; j < nr; ++j) {
-        c_row[j] += acc[j];
-      }
-    }
-  }
-}
-
-void MicroKernel(const float* ap, const float* bp, int64_t kc, float* c, int64_t ldc,
-                 int64_t mr, int64_t nr, bool assign) {
-  switch (mr) {
-    case 1: MicroKernelImpl<1>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    case 2: MicroKernelImpl<2>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    case 3: MicroKernelImpl<3>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-    default: MicroKernelImpl<4>(ap, bp, kc, c, ldc, mr, nr, assign); break;
-  }
-}
-
-// Computes rows [r0, r1) x cols [c0, c1) of C = A * op(B) (+ C when accumulate) with
-// packed panels, serially. Each output element's reduction runs over k in kKc blocks
-// in ascending order with a fixed intra-block order, so results are bitwise identical
-// no matter how the row/column ranges are partitioned across calls.
-template <bool kTransposed>
-void GemmSlab(const float* a, const float* b, float* c, int64_t k, int64_t ldb,
-              int64_t ldc, int64_t r0, int64_t r1, int64_t c0, int64_t c1,
-              bool accumulate) {
-  thread_local std::vector<float> a_pack;
-  thread_local std::vector<float> b_pack;
-  a_pack.resize(static_cast<size_t>(CeilDiv(kMc, kMr) * kMr * kKc));
-  b_pack.resize(static_cast<size_t>(CeilDiv(kNc, kNr) * kNr * kKc));
-
+// Computes rows [r0, r1) x cols [c0, c1) of C = A * op(B) (+ C when accumulate),
+// serially; `panels(pc, jc, kc, nc)` yields each B block. Each output element's
+// reduction runs over k in kKc blocks in ascending order with a fixed intra-block
+// order, so results are bitwise identical no matter how the row/column ranges are
+// partitioned across calls.
+template <typename Panels>
+void GemmSlab(const TensorKernels& kern, const float* a, float* c, int64_t k, int64_t ldc,
+              int64_t r0, int64_t r1, int64_t c0, int64_t c1, bool accumulate,
+              const Panels& panels) {
   for (int64_t jc = c0; jc < c1; jc += kNc) {
     const int64_t nc = std::min(kNc, c1 - jc);
     for (int64_t pc = 0; pc < k; pc += kKc) {
       const int64_t kc = std::min(kKc, k - pc);
-      PackB<kTransposed>(b, ldb, pc, jc, kc, nc, b_pack.data());
+      const PanelBlock blk = panels(pc, jc, kc, nc);
       const bool assign = !accumulate && pc == 0;
       for (int64_t ic = r0; ic < r1; ic += kMc) {
-        const int64_t mc = std::min(kMc, r1 - ic);
-        PackA(a + ic * k + pc, k, mc, kc, a_pack.data());
-        for (int64_t jr = 0; jr < nc; jr += kNr) {
-          const float* bp = b_pack.data() + (jr / kNr) * kc * kNr;
-          for (int64_t ir = 0; ir < mc; ir += kMr) {
-            MicroKernel(a_pack.data() + (ir / kMr) * kc * kMr, bp, kc,
-                        c + (ic + ir) * ldc + jc + jr, ldc, std::min(kMr, mc - ir),
-                        std::min(kNr, nc - jr), assign);
-          }
-        }
+        kern.gemm_block(a + ic * k + pc, k, blk.data, blk.strip_stride, kc, c + ic * ldc + jc,
+                        ldc, std::min(kMc, r1 - ic), nc, assign);
       }
     }
   }
@@ -186,45 +87,86 @@ void GemmSlab(const float* a, const float* b, float* c, int64_t k, int64_t ldb,
 // Shared driver: picks the parallel dimension (rows vs columns, whichever has more
 // cache blocks) and work-shares grain-aligned slabs on the shared pool. The slab
 // boundaries never affect per-element reduction order, so any thread count produces
-// bit-identical output.
-template <bool kTransposed>
-void GemmDriver(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
-                bool accumulate) {
+// bit-identical output. Column slabs start at multiples of kNc, so whole strips.
+template <typename Panels>
+void GemmDriver(const float* a, float* c, int64_t m, int64_t k, int64_t n, bool accumulate,
+                const Panels& panels) {
   if (m <= 0 || n <= 0) {
     return;
   }
-  const int64_t ldb = kTransposed ? k : n;
   if (k <= 0) {
     if (!accumulate) {
       std::memset(c, 0, static_cast<size_t>(m) * static_cast<size_t>(n) * sizeof(float));
     }
     return;
   }
+  const TensorKernels& kern = ActiveTensorKernels();
   if (m * n * k < kParallelWorkThreshold) {
-    GemmSlab<kTransposed>(a, b, c, k, ldb, n, 0, m, 0, n, accumulate);
+    GemmSlab(kern, a, c, k, n, 0, m, 0, n, accumulate, panels);
     return;
   }
   if (CeilDiv(m, kMc) >= CeilDiv(n, kNc)) {
     ParallelFor(0, m, kMc, [&](int64_t r0, int64_t r1) {
-      GemmSlab<kTransposed>(a, b, c, k, ldb, n, r0, r1, 0, n, accumulate);
+      GemmSlab(kern, a, c, k, n, r0, r1, 0, n, accumulate, panels);
     });
   } else {
     ParallelFor(0, n, kNc, [&](int64_t c0, int64_t c1) {
-      GemmSlab<kTransposed>(a, b, c, k, ldb, n, 0, m, c0, c1, accumulate);
+      GemmSlab(kern, a, c, k, n, 0, m, c0, c1, accumulate, panels);
     });
   }
 }
 
+// GemmNN / GemmNT: op(B) is packed per block into a per-thread buffer.
+template <bool kTransposed>
+void GemmUnpacked(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
+                  bool accumulate) {
+  const int64_t ldb = kTransposed ? k : n;
+  GemmDriver(a, c, m, k, n, accumulate, [&](int64_t pc, int64_t jc, int64_t kc, int64_t nc) {
+    thread_local std::vector<float> b_pack;
+    b_pack.resize(static_cast<size_t>(CeilDiv(kNc, kNr) * kNr * kKc));
+    PackB<kTransposed>(b, ldb, pc, jc, kc, nc, b_pack.data());
+    return PanelBlock{b_pack.data(), kc * kNr};
+  });
+}
+
 }  // namespace
+
+PackedWeights::PackedWeights(const Tensor& w) {
+  if (w.empty()) {
+    return;
+  }
+  CHECK_EQ(w.rank(), 2);
+  n_ = w.dim(0);
+  k_ = w.dim(1);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const size_t bytes = (static_cast<size_t>(this->bytes()) + 63) / 64 * 64;
+  panels_.reset(static_cast<float*>(std::aligned_alloc(64, bytes)));
+  CHECK(panels_ != nullptr) << "out of memory packing a " << n_ << "x" << k_ << " weight";
+  // One strip is the full k deep: the kc block at pc starts pc * kNr into it.
+  PackB<true>(w.data(), k_, 0, 0, k_, n_, panels_.get());
+}
+
+int64_t PackedWeights::bytes() const {
+  return CeilDiv(n_, kNr) * kNr * k_ * static_cast<int64_t>(sizeof(float));
+}
 
 void GemmNN(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
             bool accumulate) {
-  GemmDriver<false>(a, b, c, m, k, n, accumulate);
+  GemmUnpacked<false>(a, b, c, m, k, n, accumulate);
 }
 
 void GemmNT(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n,
             bool accumulate) {
-  GemmDriver<true>(a, b, c, m, k, n, accumulate);
+  GemmUnpacked<true>(a, b, c, m, k, n, accumulate);
+}
+
+void GemmPacked(const float* a, const PackedWeights& w, float* c, int64_t m,
+                bool accumulate) {
+  const int64_t k = w.cols();
+  GemmDriver(a, c, m, k, w.rows(), accumulate,
+             [&](int64_t pc, int64_t jc, int64_t /*kc*/, int64_t /*nc*/) {
+               return PanelBlock{w.panels() + (jc / kNr) * k * kNr + pc * kNr, k * kNr};
+             });
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -242,6 +184,14 @@ Tensor MatMulTransposedB(const Tensor& x, const Tensor& w) {
   CHECK_EQ(x.dim(1), w.dim(1));
   Tensor c({x.dim(0), w.dim(0)});
   GemmNT(x.data(), w.data(), c.data(), x.dim(0), x.dim(1), w.dim(0));
+  return c;
+}
+
+Tensor MatMulPacked(const Tensor& x, const PackedWeights& w) {
+  CHECK_EQ(x.rank(), 2);
+  CHECK_EQ(x.dim(1), w.cols());
+  Tensor c({x.dim(0), w.rows()});
+  GemmPacked(x.data(), w, c.data(), x.dim(0));
   return c;
 }
 
