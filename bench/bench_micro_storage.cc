@@ -180,7 +180,7 @@ void BM_CodecDecode(benchmark::State& state) {
   WriteChunkHeader(codec, rows, cols, chunk.data());
   EncodeRowsInto(codec, src.data(), cols, rows, cols, chunk.data() + sizeof(ChunkHeader));
   ChunkInfo info;
-  if (!InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), cols, &info)) {
+  if (!InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), &info)) {
     state.SkipWithError("inspect failed");
     return;
   }

@@ -2,9 +2,10 @@
 //
 // Scans a FileBackend's device directories, classifies every chunk
 // (clean / unverified / partial / corrupt) by re-parsing headers and re-computing
-// payload CRC32Cs, reports orphaned temp files from torn writes, and — with
-// --repair — quarantines the damage so the serving read path sees ordinary misses
-// (recompute-from-tokens) instead of per-read CRC failures.
+// payload CRC32Cs — `unverified` means an opaque blob with no chunk magic; a chunk
+// of a retired format version counts as corrupt — reports orphaned temp files from
+// torn writes, and — with --repair — quarantines the damage so the serving read path
+// sees ordinary misses (recompute-from-tokens) instead of per-read CRC failures.
 //
 //   hcache-fsck [--repair] [--json] <device_dir> [<device_dir>...]
 //   hcache-fsck --distributed [--replication R] [--repair] [--json] <node_dir>...
@@ -64,7 +65,7 @@ void PrintHuman(const FsckReport& r) {
               static_cast<long long>(r.chunks_scanned),
               static_cast<long long>(r.bytes_scanned));
   std::printf("  clean (CRC verified): %lld\n", static_cast<long long>(r.clean));
-  std::printf("  unverified (no CRC):  %lld\n", static_cast<long long>(r.unverified));
+  std::printf("  unverified (opaque):  %lld\n", static_cast<long long>(r.unverified));
   std::printf("  partial (truncated):  %lld\n", static_cast<long long>(r.partial));
   std::printf("  corrupt (CRC failed): %lld\n", static_cast<long long>(r.corrupt));
   std::printf("  orphaned temp files:  %lld\n",

@@ -81,48 +81,6 @@ void FunctionalHCache::SaveKvLayers(int64_t context_id, const PagedKvSequence& s
   }
 }
 
-bool FunctionalHCache::LoadKvLayer(int64_t context_id, int64_t layer, int64_t n, Tensor* k,
-                                   Tensor* v) const {
-  const ModelConfig& cfg = model_->config();
-  const int64_t kv_dim = cfg.kv_dim();
-  const int64_t row_floats = 2 * kv_dim;
-  *k = Tensor({n, kv_dim});
-  *v = Tensor({n, kv_dim});
-  const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-  const int64_t chunk_cap =
-      EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, row_floats);
-  std::vector<uint8_t> buf(static_cast<size_t>(num_chunks * chunk_cap));
-  // One batched submission for the layer's chunks (see HiddenStateReader: the
-  // backend overlaps the fetches instead of paying per-chunk round trips).
-  std::vector<ChunkReadRequest> reqs(static_cast<size_t>(num_chunks));
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    reqs[static_cast<size_t>(c)] =
-        ChunkReadRequest{ChunkKey{context_id, kKvLayerBase + layer, c},
-                         buf.data() + c * chunk_cap, chunk_cap, /*result=*/-1};
-  }
-  store_->ReadChunks(reqs);
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const uint8_t* chunk = buf.data() + c * chunk_cap;
-    const int64_t got = reqs[static_cast<size_t>(c)].result;
-    const int64_t first = c * chunk_tokens_;
-    const int64_t count = std::min(chunk_tokens_, n - first);
-    ChunkInfo info;
-    if (got <= 0 || !InspectChunk(chunk, got, row_floats, &info) ||
-        info.cols != row_floats || info.rows < count) {
-      HCACHE_LOG_ERROR << "KV chunk "
-                       << (got == kChunkCorrupt ? "corrupt" : "missing/short")
-                       << ": ctx=" << context_id << " L=" << layer << " C=" << c;
-      return false;
-    }
-    // Fused decode + de-interleave: each stored [K | V] row dequantizes directly into
-    // the two destination tensors via column sub-ranges — no FP32 staging pass.
-    DecodeChunkRange(chunk, got, info, 0, count, 0, kv_dim, k->row(first), kv_dim);
-    DecodeChunkRange(chunk, got, info, 0, count, kv_dim, row_floats, v->row(first),
-                     kv_dim);
-  }
-  return true;
-}
-
 bool FunctionalHCache::CanRestore(int64_t context_id, const PartitionScheme& scheme,
                                   int64_t n) const {
   const ModelConfig& cfg = model_->config();
@@ -135,17 +93,10 @@ bool FunctionalHCache::CanRestore(int64_t context_id, const PartitionScheme& sch
     }
   }
   if (scheme.complement == ComplementMethod::kKvOffload) {
-    const int64_t kv_row_floats = 2 * cfg.kv_dim();
-    const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
     for (int64_t layer = scheme.layers_hidden; layer < cfg.num_layers; ++layer) {
-      for (int64_t c = 0; c < num_chunks; ++c) {
-        const int64_t first = c * chunk_tokens_;
-        const int64_t want = std::min(chunk_tokens_, n - first);
-        if (!ChunkSizeCoversRows(
-                store_->ChunkSize(ChunkKey{context_id, kKvLayerBase + layer, c}), want,
-                chunk_tokens_, kv_row_floats, codec_)) {
-          return false;
-        }
+      if (!reader.RowsComplete(context_id, kKvLayerBase + layer, n, 2 * cfg.kv_dim(),
+                               codec_)) {
+        return false;
       }
     }
   }
@@ -227,7 +178,15 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
       }
       entry.hidden = std::move(hidden);
     } else {
-      if (!LoadKvLayer(context_id, entry.layer, n, &entry.k, &entry.v)) {
+      // Fused decode + de-interleave: each stored [K | V] row dequantizes straight
+      // into the two destination tensors via column slices.
+      const int64_t kv_dim = cfg.kv_dim();
+      entry.k = Tensor({n, kv_dim});
+      entry.v = Tensor({n, kv_dim});
+      const HiddenStateReader::ColumnSlice slices[] = {{0, kv_dim, entry.k.data()},
+                                                       {kv_dim, 2 * kv_dim, entry.v.data()}};
+      if (!reader.ReadRowsInto(context_id, kKvLayerBase + entry.layer, n, 2 * kv_dim,
+                               slices)) {
         load_failed.store(true, std::memory_order_release);
       }
     }

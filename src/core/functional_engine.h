@@ -73,13 +73,11 @@ class FunctionalHCache {
 
  private:
   // KV chunks are stored under layer' = kKvLayerBase + layer so they never collide
-  // with hidden-state chunks of the same context.
+  // with hidden-state chunks of the same context. They restore through
+  // HiddenStateReader's row-chunk read path like hidden states do.
   static constexpr int64_t kKvLayerBase = 1'000'000;
 
   void SaveKvLayer(int64_t context_id, const PagedKvSequence& seq, int64_t layer);
-  // False (with a log) when any covering KV chunk is missing, short, or detected
-  // corrupt — RestoreContext unwinds to "still evicted" and reports failure.
-  bool LoadKvLayer(int64_t context_id, int64_t layer, int64_t n, Tensor* k, Tensor* v) const;
 
   Transformer* model_;
   StorageBackend* store_;

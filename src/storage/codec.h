@@ -76,26 +76,35 @@ void EncodeRowsInto(ChunkCodec codec, const float* src, int64_t src_stride, int6
 
 // --- chunk decode ---
 
-// What a stored chunk contains. header_bytes is 0 for legacy (v0, headerless raw
-// FP32) chunks, kChunkHeaderBytesV1 for v1, sizeof(ChunkHeader) for v2.
+// What a stored chunk's (validated) header says.
 struct ChunkInfo {
   ChunkCodec codec = ChunkCodec::kFp32;
   int64_t rows = 0;
   int64_t cols = 0;
-  int64_t header_bytes = 0;
-  // v2 only: the stored payload checksum (has_crc == true). Verification against the
-  // actual payload bytes is the read path's job (integrity.h's VerifyChunkBytes) —
-  // InspectChunk validates the header's own CRC but never walks the payload.
+  // The stored payload checksum. Verification against the actual payload bytes is
+  // the read path's job (integrity.h's VerifyChunkBytes) — the header parse validates
+  // the header's own CRC but never walks the payload.
   uint32_t payload_crc32c = 0;
-  bool has_crc = false;
 };
 
-// Parses a stored chunk. A chunk is *encoded* when it starts with a valid header
-// (magic, known version and codec, size == EncodedChunkBytes(codec, rows, cols); a v2
-// header must additionally pass its own header CRC); anything else is treated as a
-// legacy raw-FP32 chunk whose row width `legacy_cols` the caller supplies (bytes must
-// then be a whole number of rows). Returns false when the bytes fit neither form.
-bool InspectChunk(const void* data, int64_t bytes, int64_t legacy_cols, ChunkInfo* info);
+// The outcome of parsing a stored chunk's header.
+enum class ChunkParse {
+  kOk,         // a v2 header whose CRC holds, sized exactly for the bytes stored
+  kOpaque,     // no chunk magic: bytes that never claimed the chunk format
+  kBadHeader,  // magic present, but the header CRC, version, codec, geometry or an
+               // overlong size contradicts it
+  kTruncated,  // magic present, but fewer bytes than the header (or than the payload
+               // an intact header claims) — a torn write
+};
+
+// The one parser of the chunk format: every reader of ChunkHeader fields (decode,
+// integrity verification, fsck) goes through it. `info` is filled for kOk, and for
+// kTruncated when the full header is present and intact (so fsck can report the
+// expected size); it is left untouched otherwise.
+ChunkParse ParseChunkHeader(const void* data, int64_t bytes, ChunkInfo* info);
+
+// True when ParseChunkHeader accepts the chunk (kOk).
+bool InspectChunk(const void* data, int64_t bytes, ChunkInfo* info);
 
 // Decodes the rectangle rows [row0, row1) x cols [col0, col1) of an inspected chunk
 // into dst (row-major, leading dimension dst_stride floats). Column sub-ranges let the

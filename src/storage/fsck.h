@@ -3,15 +3,17 @@
 // Walks every chunk a backend can enumerate (ListChunks), reads it back UNVERIFIED,
 // and classifies it:
 //
-//   kClean      — v2 header, payload CRC32C matches (bit-exact as written).
-//   kUnverified — parses but carries no checksum (v1 header or legacy headerless
-//                 FP32; also opaque chunks like the serving plane's descriptors).
-//                 Nothing to verify against; reported so operators can see how much
-//                 of the store predates the v2 format.
-//   kPartial    — the header parses and claims more payload than the chunk holds: a
-//                 torn/truncated write (lost tail).
-//   kCorrupt    — chunk bears the magic but fails its header or payload CRC (or is
-//                 internally inconsistent): a media fault or bit rot.
+//   kClean      — header parses, payload CRC32C matches (bit-exact as written).
+//   kUnverified — an opaque blob with no chunk magic (the serving plane's
+//                 descriptors). Nothing to verify against; counted, not listed.
+//   kPartial    — the bytes end inside the header, or an intact header claims more
+//                 payload than the chunk holds: a torn/truncated write (lost tail).
+//   kCorrupt    — chunk bears the magic but fails its header or payload CRC, names
+//                 a format version other than the current one, or is internally
+//                 inconsistent: a media fault, bit rot, or a retired format.
+//
+// The classification rides codec.h's ParseChunkHeader; fsck reads no header field
+// itself.
 //
 // With `repair` set, corrupt and partial chunks are *quarantined* — deleted from the
 // backend so the read path reports them absent (-1) instead of corrupt (-2), which

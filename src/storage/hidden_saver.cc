@@ -149,22 +149,6 @@ void HiddenStateWriter::Seal() {
 
 int64_t HiddenStateWriter::tokens_saved() const { return layers_.empty() ? 0 : layers_[0].tokens_seen; }
 
-DirectHiddenWriter::DirectHiddenWriter(StorageBackend* store, const ModelConfig& cfg,
-                                       int64_t context_id, int64_t chunk_tokens,
-                                       ChunkCodec codec)
-    : inner_(store, /*flush_pool=*/nullptr, cfg, context_id, chunk_tokens, codec) {}
-
-void DirectHiddenWriter::OnLayerInput(int64_t layer, const Tensor& hidden,
-                                      const int32_t* positions, int64_t n) {
-  // Row-granular synchronous persistence: in the real system each row is one small
-  // storage write stalling the layer; we account for them and reuse the chunk encoding
-  // so the read path stays identical.
-  synchronous_writes_ += n;
-  inner_.OnLayerInput(layer, hidden, positions, n);
-}
-
-void DirectHiddenWriter::Seal() { inner_.Seal(); }
-
 HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
                                      int64_t chunk_tokens, bool verify)
     : store_(store), cfg_(cfg), chunk_tokens_(chunk_tokens), verify_(verify) {
@@ -173,12 +157,17 @@ HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelCon
 
 bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t n,
                                       float* dst) const {
+  const ColumnSlice all{0, cfg_.hidden_dim, dst};
+  return ReadRowsInto(context_id, layer, n, cfg_.hidden_dim, {&all, 1});
+}
+
+bool HiddenStateReader::ReadRowsInto(int64_t context_id, int64_t key_layer, int64_t n,
+                                     int64_t row_floats,
+                                     std::span<const ColumnSlice> slices) const {
   CHECK_GT(n, 0);
-  const int64_t cols = cfg_.hidden_dim;
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
-  // FP32 is the widest encoding, so its chunk size bounds every stored form
-  // (including legacy headerless chunks, which lack the 16-byte header).
-  const int64_t chunk_cap = EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, cols);
+  // FP32 is the widest encoding, so its chunk size bounds every stored codec.
+  const int64_t chunk_cap = EncodedChunkBytes(ChunkCodec::kFp32, chunk_tokens_, row_floats);
   // Per-thread scratch reused across restores. A fresh multi-MB allocation here would
   // dominate the layer read: large mallocs are mmap-backed, so every call would repay
   // soft page faults (and a zeroing sweep, for a value-initialized vector) across the
@@ -194,7 +183,7 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
   std::vector<ChunkReadRequest> reqs(static_cast<size_t>(num_chunks));
   for (int64_t c = 0; c < num_chunks; ++c) {
     reqs[static_cast<size_t>(c)] =
-        ChunkReadRequest{ChunkKey{context_id, layer, c}, buf + c * chunk_cap,
+        ChunkReadRequest{ChunkKey{context_id, key_layer, c}, buf + c * chunk_cap,
                          chunk_cap, /*result=*/-1};
   }
   if (verify_) {
@@ -206,26 +195,28 @@ bool HiddenStateReader::ReadLayerInto(int64_t context_id, int64_t layer, int64_t
     const uint8_t* chunk = buf + c * chunk_cap;
     const int64_t got = reqs[static_cast<size_t>(c)].result;
     // Any failure (absent, detected-corrupt, bad geometry) fails the whole layer —
-    // a hidden-state tensor with a hole in it is worthless — but must not take the
-    // process down: the caller recomputes from tokens instead.
+    // state with a hole in it is worthless — but must not take the process down:
+    // the caller recomputes from tokens instead.
     if (got <= 0) {
-      HCACHE_LOG_ERROR << "hidden-state chunk "
-                       << (got == kChunkCorrupt ? "corrupt" : "missing")
-                       << ": ctx=" << context_id << " L=" << layer << " C=" << c;
+      HCACHE_LOG_ERROR << "chunk " << (got == kChunkCorrupt ? "corrupt" : "missing")
+                       << ": ctx=" << context_id << " L=" << key_layer << " C=" << c;
       return false;
     }
     ChunkInfo info;
     const int64_t first_tok = c * chunk_tokens_;
     const int64_t want_tokens = std::min(chunk_tokens_, n - first_tok);
-    if (!InspectChunk(chunk, got, cols, &info) || info.cols != cols ||
+    if (!InspectChunk(chunk, got, &info) || info.cols != row_floats ||
         info.rows < want_tokens) {
-      HCACHE_LOG_ERROR << "hidden-state chunk unparsable or short: ctx=" << context_id
-                       << " L=" << layer << " C=" << c << " bytes=" << got;
+      HCACHE_LOG_ERROR << "chunk unparsable or short: ctx=" << context_id
+                       << " L=" << key_layer << " C=" << c << " bytes=" << got;
       return false;
     }
-    // Fused decode: dequantize straight into the destination rows.
-    DecodeChunkRange(chunk, got, info, 0, want_tokens, 0, cols, dst + first_tok * cols,
-                     cols);
+    // Fused decode: dequantize each column slice straight into its destination rows.
+    for (const ColumnSlice& slice : slices) {
+      const int64_t width = slice.col1 - slice.col0;
+      DecodeChunkRange(chunk, got, info, 0, want_tokens, slice.col0, slice.col1,
+                       slice.dst + first_tok * width, width);
+    }
   }
   return true;
 }
@@ -239,12 +230,16 @@ Tensor HiddenStateReader::ReadLayer(int64_t context_id, int64_t layer, int64_t n
 
 bool HiddenStateReader::LayerComplete(int64_t context_id, int64_t layer, int64_t n,
                                       ChunkCodec expected) const {
+  return RowsComplete(context_id, layer, n, cfg_.hidden_dim, expected);
+}
+
+bool HiddenStateReader::RowsComplete(int64_t context_id, int64_t key_layer, int64_t n,
+                                     int64_t row_floats, ChunkCodec expected) const {
   const int64_t num_chunks = (n + chunk_tokens_ - 1) / chunk_tokens_;
   for (int64_t c = 0; c < num_chunks; ++c) {
-    const int64_t first_tok = c * chunk_tokens_;
-    const int64_t want_tokens = std::min(chunk_tokens_, n - first_tok);
-    const int64_t size = store_->ChunkSize(ChunkKey{context_id, layer, c});
-    if (!ChunkSizeCoversRows(size, want_tokens, chunk_tokens_, cfg_.hidden_dim, expected)) {
+    const int64_t want_tokens = std::min(chunk_tokens_, n - c * chunk_tokens_);
+    const int64_t size = store_->ChunkSize(ChunkKey{context_id, key_layer, c});
+    if (!ChunkSizeCoversRows(size, want_tokens, chunk_tokens_, row_floats, expected)) {
       return false;
     }
   }

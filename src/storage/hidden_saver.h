@@ -13,14 +13,15 @@
 // are handed off by swapping the staging buffer with a pooled payload buffer that
 // returns to the pool when the write completes.
 //
-// `HiddenStateWriter` is the per-sequence sink; `DirectHiddenWriter` is the Fig 14
-// ablation variant that performs storage writes synchronously inside OnLayerInput.
+// `HiddenStateWriter` is the per-sequence sink; `HiddenStateReader` is the chunked
+// read path every restore (hidden states and offloaded KV alike) goes through.
 #ifndef HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 #define HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -34,8 +35,7 @@ namespace hcache {
 class HiddenStateWriter : public HiddenStateSink {
  public:
   // `flush_pool` may be null, in which case sealed chunks flush synchronously (still
-  // chunk-granular — the distinction DirectHiddenWriter ablates is *row*-granular
-  // synchronous writes). `codec` selects the stored precision; kFp32 round-trips
+  // chunk-granular). `codec` selects the stored precision; kFp32 round-trips
   // bit-exactly (the functional default), kFp16/kInt8 trade bounded error for bytes.
   HiddenStateWriter(StorageBackend* store, ThreadPool* flush_pool, const ModelConfig& cfg,
                     int64_t context_id, int64_t chunk_tokens = kDefaultChunkTokens,
@@ -107,38 +107,29 @@ class HiddenStateWriter : public HiddenStateSink {
   int64_t logical_bytes_written_ = 0;
 };
 
-// Ablation: byte-for-byte the same data, but every OnLayerInput call writes its rows
-// straight to the store (the "DirectIO" baseline of Fig 14 — small synchronous writes
-// on the critical path).
-class DirectHiddenWriter : public HiddenStateSink {
- public:
-  DirectHiddenWriter(StorageBackend* store, const ModelConfig& cfg, int64_t context_id,
-                     int64_t chunk_tokens = kDefaultChunkTokens,
-                     ChunkCodec codec = ChunkCodec::kFp32);
-
-  void OnLayerInput(int64_t layer, const Tensor& hidden, const int32_t* positions,
-                    int64_t n) override;
-  void Seal();
-
-  int64_t synchronous_writes() const { return synchronous_writes_; }
-
- private:
-  // Delegates data handling to a synchronous writer but counts the row-granular writes
-  // the real system would issue.
-  HiddenStateWriter inner_;
-  int64_t synchronous_writes_ = 0;
-};
-
 // Reassembles a layer's hidden states from chunks, in token order — the
 // token-before-layer read path of Fig 6b. Chunks are self-describing, so one reader
-// handles any mix of codecs (and legacy headerless FP32 chunks) within a context.
+// handles any mix of codecs within a context.
+//
+// The same batched read → parse → decode loop serves any row-chunked layer key:
+// ReadRowsInto / RowsComplete take the stored layer key, the row width and the column
+// slices to decode, which is how KV-offloaded layers (interleaved [K | V] rows under
+// their own key namespace) restore through this reader too.
 class HiddenStateReader {
  public:
-  // `verify` selects the batched read flavor ReadLayerInto submits: true (the
-  // production default) funnels every chunk through CRC verification; false reads
-  // raw bytes (ReadChunksUnverified) — for trusted-memory deployments that opt out
-  // and for the bench row that measures exactly what verification costs, since the
-  // two flavors share every other instruction of the restore path.
+  // Columns [col0, col1) of every stored row decode to `dst`, row-major with leading
+  // dimension col1 - col0.
+  struct ColumnSlice {
+    int64_t col0 = 0;
+    int64_t col1 = 0;
+    float* dst = nullptr;
+  };
+
+  // `verify` selects the batched read flavor the reads submit: true (the production
+  // default) funnels every chunk through CRC verification; false reads raw bytes
+  // (ReadChunksUnverified) — for trusted-memory deployments that opt out and for the
+  // bench row that measures exactly what verification costs, since the two flavors
+  // share every other instruction of the restore path.
   HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
                     int64_t chunk_tokens = kDefaultChunkTokens, bool verify = true);
 
@@ -153,10 +144,15 @@ class HiddenStateReader {
   // contents are then unspecified and the caller falls back to recomputation.
   bool ReadLayerInto(int64_t context_id, int64_t layer, int64_t n, float* dst) const;
 
+  // The general form of ReadLayerInto: tokens [0, n) of the `row_floats`-wide rows
+  // stored under layer key `key_layer`, each row split across `slices`. One batched
+  // backend submission per call; same failure contract.
+  bool ReadRowsInto(int64_t context_id, int64_t key_layer, int64_t n, int64_t row_floats,
+                    std::span<const ColumnSlice> slices) const;
+
   // True when every chunk covering tokens [0, n) of every layer exists. `expected` is
-  // the codec this context's writer is configured with (legacy headerless FP32 chunks
-  // are always additionally accepted); pinning it keeps a partially saved chunk from
-  // size-aliasing to a complete chunk of a different codec.
+  // the codec this context's writer is configured with; pinning it keeps a partially
+  // saved chunk from size-aliasing to a complete chunk of a different codec.
   bool ContextComplete(int64_t context_id, int64_t n,
                        ChunkCodec expected = ChunkCodec::kFp32) const;
 
@@ -164,6 +160,11 @@ class HiddenStateReader {
   // schemes only need a subset of layers).
   bool LayerComplete(int64_t context_id, int64_t layer, int64_t n,
                      ChunkCodec expected = ChunkCodec::kFp32) const;
+
+  // The general form of LayerComplete, over `row_floats`-wide rows stored under layer
+  // key `key_layer` (the completeness check behind ReadRowsInto).
+  bool RowsComplete(int64_t context_id, int64_t key_layer, int64_t n, int64_t row_floats,
+                    ChunkCodec expected) const;
 
  private:
   const StorageBackend* store_;

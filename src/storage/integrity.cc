@@ -20,42 +20,46 @@ const char* ChunkVerdictName(ChunkVerdict verdict) {
   return "?";
 }
 
+namespace {
+
+// Parses the header and maps the outcome onto a verdict; kOk means "sealed chunk,
+// payload CRC still to check" (the caller does that, fused or not).
+ChunkVerdict ParseVerdict(const void* data, int64_t bytes, ChunkInfo* info) {
+  switch (ParseChunkHeader(data, bytes, info)) {
+    case ChunkParse::kOk:
+      return ChunkVerdict::kOkVerified;
+    case ChunkParse::kOpaque:
+      return ChunkVerdict::kOkUnverified;
+    case ChunkParse::kBadHeader:
+    case ChunkParse::kTruncated:
+      break;
+  }
+  // The bytes CLAIM the chunk format (the magic is present) but fail it — header bit
+  // flip, bad header CRC, an unsupported version, or truncation: a detected
+  // corruption, not an opaque blob.
+  return ChunkVerdict::kCorrupt;
+}
+
+}  // namespace
+
 ChunkVerdict VerifyChunkBytes(const void* data, int64_t bytes, int64_t* checked_bytes) {
   if (checked_bytes != nullptr) {
     *checked_bytes = 0;
   }
-  if (data == nullptr || bytes <= 0) {
-    return ChunkVerdict::kOkUnverified;
-  }
   ChunkInfo info;
-  // legacy_cols = 0: the backend does not know the caller's row geometry, so the
-  // legacy-FP32 interpretation never fires here — headerless bytes simply stay
-  // unverified (the decode path still vets their size against its own geometry).
-  if (InspectChunk(data, bytes, /*legacy_cols=*/0, &info)) {
-    if (!info.has_crc) {
-      return ChunkVerdict::kOkUnverified;  // v1: readable, carries no checksum
-    }
-    const uint8_t* payload = static_cast<const uint8_t*>(data) + info.header_bytes;
-    const int64_t payload_bytes = bytes - info.header_bytes;
-    if (Crc32c(payload, payload_bytes) != info.payload_crc32c) {
-      return ChunkVerdict::kCorrupt;
-    }
-    if (checked_bytes != nullptr) {
-      *checked_bytes = payload_bytes;
-    }
-    return ChunkVerdict::kOkVerified;
+  const ChunkVerdict verdict = ParseVerdict(data, bytes, &info);
+  if (verdict != ChunkVerdict::kOkVerified) {
+    return verdict;
   }
-  // Unparseable. If the bytes CLAIM the chunk format (the magic is present) the
-  // claim failed — header bit flip, bad header CRC, or truncation — and that is a
-  // detected corruption, not an opaque blob.
-  uint32_t magic = 0;
-  if (bytes >= static_cast<int64_t>(sizeof(magic))) {
-    std::memcpy(&magic, data, sizeof(magic));
-    if (magic == kChunkMagic) {
-      return ChunkVerdict::kCorrupt;
-    }
+  const int64_t payload_bytes = bytes - static_cast<int64_t>(sizeof(ChunkHeader));
+  if (Crc32c(static_cast<const uint8_t*>(data) + sizeof(ChunkHeader), payload_bytes) !=
+      info.payload_crc32c) {
+    return ChunkVerdict::kCorrupt;
   }
-  return ChunkVerdict::kOkUnverified;
+  if (checked_bytes != nullptr) {
+    *checked_bytes = payload_bytes;
+  }
+  return ChunkVerdict::kOkVerified;
 }
 
 ChunkVerdict VerifyAndCopyChunk(const void* data, int64_t bytes, void* dst,
@@ -63,34 +67,30 @@ ChunkVerdict VerifyAndCopyChunk(const void* data, int64_t bytes, void* dst,
   if (checked_bytes != nullptr) {
     *checked_bytes = 0;
   }
-  if (data == nullptr || bytes <= 0) {
-    return ChunkVerdict::kOkUnverified;  // nothing to copy
-  }
   ChunkInfo info;
-  if (InspectChunk(data, bytes, /*legacy_cols=*/0, &info) && info.has_crc) {
-    // Sealed v2 chunk: checksum the payload while it moves.
-    const auto* src = static_cast<const uint8_t*>(data);
-    auto* out = static_cast<uint8_t*>(dst);
-    std::memcpy(out, src, static_cast<size_t>(info.header_bytes));
-    const int64_t payload_bytes = bytes - info.header_bytes;
-    const uint32_t crc =
-        ActiveCodecKernels().crc32c_copy(0xFFFFFFFFu, src + info.header_bytes,
-                                         out + info.header_bytes, payload_bytes) ^
-        0xFFFFFFFFu;
-    if (crc != info.payload_crc32c) {
-      return ChunkVerdict::kCorrupt;  // dst contents unspecified
-    }
-    if (checked_bytes != nullptr) {
-      *checked_bytes = payload_bytes;
-    }
-    return ChunkVerdict::kOkVerified;
+  const ChunkVerdict verdict = ParseVerdict(data, bytes, &info);
+  if (verdict == ChunkVerdict::kOkUnverified && data != nullptr && bytes > 0) {
+    std::memcpy(dst, data, static_cast<size_t>(bytes));  // opaque: plain copy
   }
-  // v1 / opaque / corrupt format claim: the two-pass verdict, plain copy on success.
-  const ChunkVerdict verdict = VerifyChunkBytes(data, bytes, nullptr);
-  if (verdict != ChunkVerdict::kCorrupt) {
-    std::memcpy(dst, data, static_cast<size_t>(bytes));
+  if (verdict != ChunkVerdict::kOkVerified) {
+    return verdict;
   }
-  return verdict;
+  // Sealed chunk: checksum the payload while it moves.
+  const auto* src = static_cast<const uint8_t*>(data);
+  auto* out = static_cast<uint8_t*>(dst);
+  constexpr size_t kHeader = sizeof(ChunkHeader);
+  std::memcpy(out, src, kHeader);
+  const int64_t payload_bytes = bytes - static_cast<int64_t>(kHeader);
+  const uint32_t crc = ActiveCodecKernels().crc32c_copy(0xFFFFFFFFu, src + kHeader,
+                                                        out + kHeader, payload_bytes) ^
+                       0xFFFFFFFFu;
+  if (crc != info.payload_crc32c) {
+    return ChunkVerdict::kCorrupt;  // dst contents unspecified
+  }
+  if (checked_bytes != nullptr) {
+    *checked_bytes = payload_bytes;
+  }
+  return ChunkVerdict::kOkVerified;
 }
 
 }  // namespace hcache

@@ -6,15 +6,18 @@
 // misdirected IO are routine, and a flipped bit in a chunk would otherwise decode
 // into silently wrong KV. VerifyChunkBytes classifies a stored chunk:
 //
-//   kOkVerified   — a v2 chunk whose payload CRC32C matches its header. The bytes
-//                   are what the writer sealed.
-//   kOkUnverified — bytes that carry no checksum: a v1 or legacy headerless chunk,
-//                   or an opaque blob that never claimed the chunk format (the
-//                   serving plane's descriptor chunks). Readable, not attestable.
+//   kOkVerified   — a chunk whose payload CRC32C matches its header. The bytes are
+//                   what the writer sealed.
+//   kOkUnverified — an opaque blob that never claimed the chunk format (no magic;
+//                   the serving plane's descriptor chunks). Readable, not
+//                   attestable, and never decoded as chunk rows.
 //   kCorrupt      — bytes that CLAIM the chunk format (magic present) but fail it:
-//                   payload CRC mismatch, header CRC mismatch, or a size that
-//                   contradicts the header (truncation). Backends surface this as
-//                   kChunkCorrupt — never as decoded data.
+//                   payload CRC mismatch, header CRC mismatch, a format version
+//                   other than the current one, or a size that contradicts the
+//                   header (truncation). Backends surface this as kChunkCorrupt —
+//                   never as decoded data.
+//
+// Both entry points classify through codec.h's ParseChunkHeader.
 #ifndef HCACHE_SRC_STORAGE_INTEGRITY_H_
 #define HCACHE_SRC_STORAGE_INTEGRITY_H_
 

@@ -62,21 +62,17 @@ TieredBackend::TieredBackend(StorageBackend* cold, int64_t dram_capacity_bytes,
       static_cast<int64_t>(options_.high_water_factor *
                            static_cast<double>(dram_capacity_bytes_)) +
       4 * chunk_bytes();
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    drainer_ = std::thread(&TieredBackend::DrainLoop, this);
-  }
+  drainer_ = std::thread(&TieredBackend::DrainLoop, this);
 }
 
 TieredBackend::~TieredBackend() {
-  if (drainer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      shutting_down_ = true;
-    }
-    drain_cv_.notify_all();
-    drained_cv_.notify_all();
-    drainer_.join();
+  {
+    std::lock_guard<std::mutex> lock(drain_mu_);
+    shutting_down_ = true;
   }
+  drain_cv_.notify_all();
+  drained_cv_.notify_all();
+  drainer_.join();
 }
 
 void TieredBackend::TouchLocked(Shard& shard, int64_t context_id) const {
@@ -108,9 +104,8 @@ void TieredBackend::EvictToBudgetLocked(Shard& shard,
     ticket.counted_eviction = true;
     // Move the victim's chunks out of the hot tier NOW (the LRU decision stays
     // deterministic and the budget is restored immediately); dirty payloads park in
-    // the pending map until the drainer — or the caller, in kSync mode — writes
-    // them back with no shard lock held. Clean chunks already exist in the cold
-    // tier and are simply dropped.
+    // the pending map until the drainer writes them back with no shard lock held.
+    // Clean chunks already exist in the cold tier and are simply dropped.
     bool held_chunks = false;
     auto it = shard.hot.lower_bound(ChunkKey{victim, 0, 0});
     while (it != shard.hot.end() && it->first.context_id == victim) {
@@ -244,18 +239,16 @@ void TieredBackend::DispatchTickets(std::vector<DrainTicket> tickets) const {
   if (tickets.empty()) {
     return;
   }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      for (auto& t : tickets) {
-        drain_queue_.push_back(std::move(t));
-      }
-    }
-    drain_cv_.notify_one();
-  } else {
-    for (const DrainTicket& t : tickets) {
-      ProcessTicket(t);
-    }
+  std::unique_lock<std::mutex> lock(drain_mu_);
+  for (auto& t : tickets) {
+    drain_queue_.push_back(std::move(t));
+  }
+  const uint64_t last = enqueued_tickets_ += tickets.size();
+  drain_cv_.notify_one();
+  if (options_.writeback == TieredOptions::Writeback::kSync) {
+    // The drainer retires tickets in queue order, so ours have retired once the
+    // retired count reaches the last sequence number we enqueued.
+    drained_cv_.wait(lock, [this, last] { return retired_tickets_ >= last; });
   }
 }
 
@@ -267,8 +260,7 @@ void TieredBackend::SignalDrainProgress() const {
 }
 
 void TieredBackend::MaybeStallWriter() const {
-  if (options_.writeback != TieredOptions::Writeback::kAsync ||
-      pending_bytes_.load() <= high_water_bytes_) {
+  if (pending_bytes_.load() <= high_water_bytes_) {
     return;
   }
   ++writer_stalls_;
@@ -298,14 +290,12 @@ void TieredBackend::DrainLoop() {
     ProcessTicket(ticket);
     lock.lock();
     inflight_context_ = -1;
+    ++retired_tickets_;
     drained_cv_.notify_all();
   }
 }
 
 void TieredBackend::Quiesce() {
-  if (options_.writeback != TieredOptions::Writeback::kAsync) {
-    return;
-  }
   std::unique_lock<std::mutex> lock(drain_mu_);
   // pending_bytes_ covers the window where a concurrent caller has parked evicted
   // chunks in a shard's pending map but not yet enqueued their ticket (eviction
@@ -626,7 +616,7 @@ void TieredBackend::DeleteContext(int64_t context_id) {
   if (cancelled_pending) {
     SignalDrainProgress();
   }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
+  {
     // An in-flight write-back of this context could re-materialize a chunk in the
     // cold tier after our delete; wait it out (queued tickets are already inert —
     // their pending entries are gone).
@@ -676,7 +666,7 @@ bool TieredBackend::DeleteChunk(const ChunkKey& key) {
   if (cancelled_pending) {
     SignalDrainProgress();
   }
-  if (options_.writeback == TieredOptions::Writeback::kAsync) {
+  {
     // An in-flight write-back of this context could re-materialize the chunk in the
     // cold tier after our delete; wait it out (same rule as DeleteContext).
     std::unique_lock<std::mutex> lock(drain_mu_);

@@ -60,14 +60,12 @@ struct TieredOptions {
   // across stripes; a chunk larger than its stripe's share is never hot-admitted.
   int num_shards = 0;
 
+  // Either way the one background drainer performs every write-back; the modes
+  // differ only in whether the evicting caller waits for it.
   enum class Writeback {
-    kAsync,         // background drainer flushes evicted dirty chunks (default)
-    kSync,          // flush on the evicting caller, shard lock dropped around IO —
-                    // deterministic stats for single-threaded measurement runs.
-                    // NOT for concurrent same-key traffic: without the drainer's
-                    // single-writer/inflight tracking, an overwrite or delete racing
-                    // a caller-thread flush of the same chunk can strand stale bytes
-                    // in the cold tier. Concurrent workloads use kAsync.
+    kAsync,  // the caller returns as soon as its tickets are queued (default)
+    kSync,   // the caller waits until its own tickets have retired — deterministic
+             // stats for single-threaded measurement runs
   };
   Writeback writeback = Writeback::kAsync;
 
@@ -203,8 +201,8 @@ class TieredBackend : public StorageBackend {
   // DrainTicket per victim with dirty chunks to `tickets` (clean chunks are dropped
   // outright — the cold tier already holds them). shard.mu held.
   void EvictToBudgetLocked(Shard& shard, std::vector<DrainTicket>* tickets) const;
-  // Routes freshly-cut tickets per the writeback mode: enqueue to the drainer
-  // (kAsync) or flush inline with the lock dropped (kSync). No shard lock held.
+  // Enqueues freshly-cut tickets to the drainer; under kSync also waits until they
+  // have retired. No shard lock held.
   void DispatchTickets(std::vector<DrainTicket> tickets) const;
   // Flushes one ticket's chunks to the cold tier, taking shard.mu only around map
   // bookkeeping — never across cold_->WriteChunks. Returns false when any chunk
@@ -228,13 +226,15 @@ class TieredBackend : public StorageBackend {
   // tier is mutable state guarded per shard.
   mutable std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Drain plane (kAsync): guarded by drain_mu_. The drainer holds drain_mu_ only
+  // Drain plane: guarded by drain_mu_. The drainer holds drain_mu_ only
   // around queue pops and state flips, never across cold-tier IO.
   mutable std::mutex drain_mu_;
   mutable std::condition_variable drain_cv_;    // wakes the drainer
   mutable std::condition_variable drained_cv_;  // wakes stalled writers / Quiesce
   mutable std::deque<DrainTicket> drain_queue_;
   mutable int64_t inflight_context_ = -1;  // context currently being written back
+  mutable uint64_t enqueued_tickets_ = 0;  // tickets ever queued (queue sequence)
+  mutable uint64_t retired_tickets_ = 0;   // tickets the drainer has finished
   bool shutting_down_ = false;
   std::thread drainer_;
 

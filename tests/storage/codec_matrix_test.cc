@@ -194,7 +194,7 @@ TEST_F(CodecMatrixTest, ChunkEncodeAndColumnRangeDecodeMatchScalar) {
       std::memcpy(chunk.data() + sizeof(ChunkHeader), want_payload.data(),
                   static_cast<size_t>(payload_bytes));
       ChunkInfo info;
-      ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), cols, &info));
+      ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), &info));
       const int64_t half = cols / 2;
       std::vector<float> want_lo(static_cast<size_t>(rows * half), -1.0f);
       std::vector<float> want_hi(static_cast<size_t>(rows * (cols - half)), -1.0f);

@@ -1,7 +1,8 @@
 // Storage-plane codec integration: per-codec save/read round trips through the
-// two-stage saver, mixed-version contexts (legacy headerless FP32 chunks next to
-// encoded FP16 chunks), bit-identical decode across File/Memory/Tiered backends, and
-// the steady-state save path's no-allocation guarantee.
+// two-stage saver, contexts holding a retired headerless chunk next to encoded FP16
+// chunks (restore fails, nothing decodes), bit-identical decode across
+// File/Memory/Tiered backends, and the steady-state save path's no-allocation
+// guarantee.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <numeric>
 
 #include "src/common/rng.h"
+#include "src/core/functional_engine.h"
 #include "src/storage/codec.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/hidden_saver.h"
@@ -151,42 +153,52 @@ TEST_F(CodecStorageTest, CompressionShowsUpInBackendBytes) {
   EXPECT_GT(static_cast<double>(bytes_fp32) / bytes_int8, 3.3);
 }
 
-TEST_F(CodecStorageTest, MixedVersionContextReadsBack) {
-  // A context saved by the old code (legacy headerless FP32 chunks) and resumed by the
-  // new code (encoded chunks) must read back as one coherent layer.
+TEST_F(CodecStorageTest, HeaderlessChunkInContextFailsRestore) {
+  // A context whose chunk 0 holds retired headerless FP32 rows (the v0 format) next to
+  // chunks an FP16 writer sealed. Only v2 chunks are read: whether or not the stray
+  // chunk's size happens to pass the completeness check, restore reports failure,
+  // leaves the sequence evicted, and decodes nothing from those bytes.
   const int64_t chunk_tokens = 8;
+  const ModelWeights weights = ModelWeights::Random(cfg_, 5);
+  Transformer model(&weights);
+  KvBlockPool pool(KvPoolConfig::ForModel(cfg_, /*num_blocks=*/16, /*block_tokens=*/8));
   MemoryBackend store(kChunkBytes);
-  const Tensor all = RandomTokens(cfg_, 16, 13);
-  // Chunk 0: legacy raw FP32 bytes, written directly (the v0 on-disk format).
-  for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-    store.WriteChunk(ChunkKey{1, layer, 0}, all.data(),
-                     chunk_tokens * cfg_.hidden_dim * static_cast<int64_t>(sizeof(float)));
-  }
-  // Chunks 1+: written by a fresh FP16 writer that resumes at token 8.
-  HiddenStateWriter writer(&store, nullptr, cfg_, 1, chunk_tokens, ChunkCodec::kFp16);
-  {
-    // Skip the writer past the legacy tokens by feeding them; its chunk 0 write
-    // *overwrites* the legacy chunk with an encoded one — emulate the pre-upgrade
-    // state by restoring the legacy bytes afterwards.
-    Feed(&writer, cfg_, all, 16);
-    writer.Seal();
+  FunctionalHCache engine(&model, &store, /*flush_pool=*/nullptr, chunk_tokens,
+                          ChunkCodec::kFp16);
+  std::vector<int32_t> prompt(16);
+  std::iota(prompt.begin(), prompt.end(), 3);
+  PagedKvSequence seq(&pool);
+  model.Forward(prompt, &seq, engine.BeginCapture(1));
+  engine.SealContext(1);
+  const int64_t n = seq.num_tokens();
+  seq.Evict();
+  PartitionScheme scheme;
+  scheme.layers_hidden = cfg_.num_layers;
+  scheme.layers_other = 0;
+  scheme.complement = ComplementMethod::kNone;
+  ASSERT_TRUE(engine.CanRestore(1, scheme, n));
+
+  const Tensor legacy = RandomTokens(cfg_, chunk_tokens, 13);
+  const int64_t v0_bytes = legacy.numel() * static_cast<int64_t>(sizeof(float));
+  // The v0 size fails the completeness check; cut to the size of a sealed FP16 chunk
+  // it passes, and the read itself must refuse it.
+  const int64_t aliased_bytes =
+      EncodedChunkBytes(ChunkCodec::kFp16, chunk_tokens, cfg_.hidden_dim);
+  for (const int64_t bytes : {v0_bytes, aliased_bytes}) {
+    SCOPED_TRACE(bytes);
     for (int64_t layer = 0; layer < cfg_.num_layers; ++layer) {
-      store.WriteChunk(ChunkKey{1, layer, 0}, all.data(),
-                       chunk_tokens * cfg_.hidden_dim * static_cast<int64_t>(sizeof(float)));
+      ASSERT_TRUE(store.WriteChunk(ChunkKey{1, layer, 0}, legacy.data(), bytes));
     }
-  }
-  HiddenStateReader reader(&store, cfg_, chunk_tokens);
-  // Completeness is checked under the engine's configured codec (legacy chunks are
-  // always additionally accepted).
-  ASSERT_TRUE(reader.ContextComplete(1, 16, ChunkCodec::kFp16));
-  const Tensor got = reader.ReadLayer(1, 0, 16);
-  for (int64_t r = 0; r < 16; ++r) {
-    for (int64_t c = 0; c < cfg_.hidden_dim; ++c) {
-      if (r < chunk_tokens) {
-        EXPECT_EQ(got.at(r, c), all.at(r, c)) << "legacy half must be bit-exact";
-      } else {
-        EXPECT_LE(std::fabs(got.at(r, c) - all.at(r, c)), Fp16UlpOf(got.at(r, c)));
-      }
+    EXPECT_EQ(engine.CanRestore(1, scheme, n), bytes == aliased_bytes);
+    EXPECT_FALSE(engine.RestoreContext(1, scheme, {}, &seq));
+    EXPECT_FALSE(seq.has_kv());
+    EXPECT_EQ(seq.num_tokens(), n);
+
+    HiddenStateReader reader(&store, cfg_, chunk_tokens);
+    std::vector<float> dst(static_cast<size_t>(n * cfg_.hidden_dim), -7.0f);
+    EXPECT_FALSE(reader.ReadLayerInto(1, 0, n, dst.data()));
+    for (const float v : dst) {
+      ASSERT_EQ(v, -7.0f) << "a headerless chunk must decode nothing";
     }
   }
 }

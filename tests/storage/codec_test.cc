@@ -1,17 +1,22 @@
 // Property tests for the chunk precision codec: FP16 round-trip error within 1 ulp of
 // half precision (RNE is actually ≤ 0.5 ulp), INT8 within RowErrorBound, FP32 bitwise,
-// plus header/legacy-format inspection and rectangular (column-range) decode.
+// plus header inspection (retired headerless chunks never decode) and rectangular
+// (column-range) decode.
 #include "src/storage/codec.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/quantize.h"
+#include "src/storage/codec_simd.h"
+#include "src/storage/hidden_saver.h"
+#include "src/storage/memory_backend.h"
 #include "src/tensor/tensor.h"
 
 namespace hcache {
@@ -34,10 +39,9 @@ std::vector<uint8_t> EncodeWholeChunk(ChunkCodec codec, const Tensor& t) {
   return chunk;
 }
 
-Tensor DecodeWholeChunk(const std::vector<uint8_t>& chunk, int64_t legacy_cols) {
+Tensor DecodeWholeChunk(const std::vector<uint8_t>& chunk) {
   ChunkInfo info;
-  EXPECT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), legacy_cols,
-                           &info));
+  EXPECT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), &info));
   Tensor out({info.rows, info.cols});
   DecodeChunkRange(chunk.data(), static_cast<int64_t>(chunk.size()), info, 0, info.rows, 0,
                    info.cols, out.data(), info.cols);
@@ -101,7 +105,7 @@ TEST(CodecTest, Fp16RoundTripWithinHalfUlpEverywhere) {
 TEST(CodecTest, Fp16ChunkRoundTripBounded) {
   const Tensor t = RandomRows(64, 96, 11);
   const auto chunk = EncodeWholeChunk(ChunkCodec::kFp16, t);
-  const Tensor back = DecodeWholeChunk(chunk, 96);
+  const Tensor back = DecodeWholeChunk(chunk);
   for (int64_t i = 0; i < t.numel(); ++i) {
     const float ulp = Fp16UlpOf(back.at(i));
     EXPECT_LE(std::fabs(back.at(i) - t.at(i)), ulp) << i;
@@ -111,7 +115,7 @@ TEST(CodecTest, Fp16ChunkRoundTripBounded) {
 TEST(CodecTest, Int8ChunkMatchesQuantizeRowsAndBound) {
   const Tensor t = RandomRows(32, 80, 3, 4.0);
   const auto chunk = EncodeWholeChunk(ChunkCodec::kInt8, t);
-  const Tensor back = DecodeWholeChunk(chunk, 80);
+  const Tensor back = DecodeWholeChunk(chunk);
   // Same kernel as core/quantize.cc: identical reconstruction...
   const QuantizedRows q = QuantizeRows(t);
   const Tensor ref = DequantizeRows(q);
@@ -128,32 +132,56 @@ TEST(CodecTest, Int8ChunkMatchesQuantizeRowsAndBound) {
 TEST(CodecTest, Fp32ChunkRoundTripsBitwise) {
   const Tensor t = RandomRows(17, 33, 5);
   const auto chunk = EncodeWholeChunk(ChunkCodec::kFp32, t);
-  const Tensor back = DecodeWholeChunk(chunk, 33);
+  const Tensor back = DecodeWholeChunk(chunk);
   EXPECT_TRUE(Tensor::BitwiseEqual(back, t));
 }
 
-TEST(CodecTest, LegacyHeaderlessChunkDecodesAsFp32) {
-  const Tensor t = RandomRows(9, 24, 6);
-  std::vector<uint8_t> raw(static_cast<size_t>(t.numel()) * sizeof(float));
-  std::memcpy(raw.data(), t.data(), raw.size());
+TEST(CodecTest, HeaderlessChunkNeverDecodes) {
+  // The retired v0 format: raw FP32 rows with no header. Even sized exactly like a
+  // complete v2 FP32 chunk — so the size-only completeness check passes — it is an
+  // opaque blob: the reader refuses it and decodes nothing into the destination.
+  const ModelConfig cfg = ModelConfig::TinyLlama(2, 24, 2);
+  const int64_t rows = 8, cols = cfg.hidden_dim;
+  const Tensor t = RandomRows(rows, cols, 6);
+  std::vector<uint8_t> raw(
+      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));
+  std::memcpy(raw.data(), t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
   ChunkInfo info;
-  ASSERT_TRUE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), 24, &info));
-  EXPECT_EQ(info.header_bytes, 0);
-  EXPECT_EQ(info.codec, ChunkCodec::kFp32);
-  EXPECT_EQ(info.rows, 9);
-  const Tensor back = DecodeWholeChunk(raw, 24);
-  EXPECT_TRUE(Tensor::BitwiseEqual(back, t));
+  EXPECT_EQ(ParseChunkHeader(raw.data(), static_cast<int64_t>(raw.size()), &info),
+            ChunkParse::kOpaque);
+  EXPECT_FALSE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), &info));
+
+  MemoryBackend store(1 << 16);
+  ASSERT_TRUE(store.WriteChunk({1, 0, 0}, raw.data(), static_cast<int64_t>(raw.size())));
+  HiddenStateReader reader(&store, cfg, /*chunk_tokens=*/rows);
+  EXPECT_TRUE(reader.LayerComplete(1, 0, rows, ChunkCodec::kFp32));  // size alone passes
+  std::vector<float> dst(static_cast<size_t>(rows * cols), -7.0f);
+  EXPECT_FALSE(reader.ReadLayerInto(1, 0, rows, dst.data()));
+  for (const float v : dst) {
+    ASSERT_EQ(v, -7.0f) << "a headerless chunk must decode nothing";
+  }
 }
 
 TEST(CodecTest, InspectRejectsGarbage) {
-  std::vector<uint8_t> junk(13, 0xab);  // not a multiple of any row size
+  std::vector<uint8_t> junk(13, 0xab);  // no magic
   ChunkInfo info;
-  EXPECT_FALSE(InspectChunk(junk.data(), static_cast<int64_t>(junk.size()), 24, &info));
+  EXPECT_FALSE(InspectChunk(junk.data(), static_cast<int64_t>(junk.size()), &info));
   // Truncated encoded chunk: header promises more rows than the bytes hold.
   const Tensor t = RandomRows(8, 16, 8);
   auto chunk = EncodeWholeChunk(ChunkCodec::kFp16, t);
   chunk.resize(chunk.size() - 1);
-  EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 16, &info));
+  EXPECT_FALSE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), &info));
+  EXPECT_EQ(ParseChunkHeader(chunk.data(), static_cast<int64_t>(chunk.size()), &info),
+            ChunkParse::kTruncated);
+  // A CRC-valid header whose claimed geometry overflows any chunk size.
+  ChunkHeader huge;
+  huge.magic = kChunkMagic;
+  huge.version = kChunkFormatVersion;
+  huge.rows = 0xFFFFFFFFu;
+  huge.cols = 0xFFFFFFFFu;
+  huge.header_crc32c = Crc32c(&huge, offsetof(ChunkHeader, header_crc32c));
+  EXPECT_EQ(ParseChunkHeader(&huge, static_cast<int64_t>(sizeof(huge)), &info),
+            ChunkParse::kBadHeader);
 }
 
 TEST(CodecTest, ColumnRangeDecodeSplitsInterleavedRows) {
@@ -163,9 +191,9 @@ TEST(CodecTest, ColumnRangeDecodeSplitsInterleavedRows) {
   for (const ChunkCodec codec :
        {ChunkCodec::kFp32, ChunkCodec::kFp16, ChunkCodec::kInt8}) {
     const auto chunk = EncodeWholeChunk(codec, t);
-    const Tensor whole = DecodeWholeChunk(chunk, 2 * kv);
+    const Tensor whole = DecodeWholeChunk(chunk);
     ChunkInfo info;
-    ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 2 * kv, &info));
+    ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), &info));
     Tensor k({rows, kv}), v({rows, kv});
     DecodeChunkRange(chunk.data(), static_cast<int64_t>(chunk.size()), info, 0, rows, 0, kv,
                      k.data(), kv);
@@ -188,9 +216,6 @@ TEST(CodecTest, ChunkSizeCoversRowsAcceptsEveryValidEncoding) {
         EXPECT_TRUE(
             ChunkSizeCoversRows(EncodedChunkBytes(codec, rows, cols), rows, 64, cols, codec))
             << ChunkCodecName(codec) << " rows=" << rows << " cols=" << cols;
-        // Legacy headerless FP32 chunks are accepted under any configured codec.
-        EXPECT_TRUE(ChunkSizeCoversRows(rows * cols * static_cast<int64_t>(sizeof(float)),
-                                        rows, 64, cols, codec));
       }
     }
   }

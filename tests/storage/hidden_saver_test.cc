@@ -128,14 +128,27 @@ TEST_F(HiddenSaverTest, ContextCompleteDetectsMissingTail) {
   EXPECT_FALSE(reader.ContextComplete(7, 1));  // unknown context
 }
 
-TEST_F(HiddenSaverTest, DirectWriterProducesSameDataAndCountsWrites) {
-  DirectHiddenWriter direct(store_.get(), cfg_, 20, 4);
-  const Tensor all = FeedTokens(&direct, 12, 3, 6);
-  direct.Seal();
-  // 12 tokens x 3 layers fed in batches of 3 -> 12 per layer = 36 row writes.
-  EXPECT_EQ(direct.synchronous_writes(), 12 * cfg_.num_layers);
+TEST_F(HiddenSaverTest, ReadRowsIntoSplitsRowsAcrossColumnSlices) {
+  // The general read path (the one KV restore uses for its [K | V] rows): column
+  // slices decode the same bytes ReadLayer does, each into its own dense tensor.
+  HiddenStateWriter writer(store_.get(), nullptr, cfg_, 20, 4);
+  const Tensor all = FeedTokens(&writer, 10, 3, 6);
+  writer.Seal();
   HiddenStateReader reader(store_.get(), cfg_, 4);
-  EXPECT_TRUE(Tensor::BitwiseEqual(reader.ReadLayer(20, 1, 12), all));
+  const int64_t h = cfg_.hidden_dim, half = h / 2;
+  ASSERT_TRUE(reader.RowsComplete(20, 1, 10, h, ChunkCodec::kFp32));
+  EXPECT_FALSE(reader.RowsComplete(20, 1, 10, h + 2, ChunkCodec::kFp32));  // wrong width
+  Tensor left({10, half}), right({10, h - half});
+  const HiddenStateReader::ColumnSlice slices[] = {{0, half, left.data()},
+                                                   {half, h, right.data()}};
+  ASSERT_TRUE(reader.ReadRowsInto(20, 1, 10, h, slices));
+  for (int64_t r = 0; r < 10; ++r) {
+    for (int64_t c = 0; c < h; ++c) {
+      EXPECT_EQ(c < half ? left.at(r, c) : right.at(r, c - half), all.at(r, c));
+    }
+  }
+  // A row width that disagrees with the stored header fails the read.
+  EXPECT_FALSE(reader.ReadRowsInto(20, 1, 10, h + 2, slices));
 }
 
 TEST_F(HiddenSaverTest, DestructorSealsUnflushedState) {

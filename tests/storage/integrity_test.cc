@@ -1,18 +1,25 @@
 // The durability plane's integrity primitives: CRC32C kernel correctness across
-// SIMD tiers, v2 header sealing, and VerifyChunkBytes' three-way verdict — the
-// contract every backend's verified read path is built on.
+// SIMD tiers, v2 header sealing, VerifyChunkBytes' three-way verdict — the contract
+// every backend's verified read path is built on — and the rejection of retired
+// format versions.
 #include "src/storage/integrity.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/storage/codec.h"
 #include "src/storage/codec_simd.h"
+#include "src/storage/file_backend.h"
+#include "src/storage/fsck.h"
 #include "src/storage/layout.h"
+#include "src/storage/memory_backend.h"
 
 namespace hcache {
 namespace {
@@ -114,9 +121,9 @@ TEST(VerifyChunkBytesTest, SealedV2ChunkVerifies) {
   const int64_t bytes = static_cast<int64_t>(chunk.size());
 
   ChunkInfo info;
-  ASSERT_TRUE(InspectChunk(chunk.data(), bytes, 0, &info));
-  EXPECT_TRUE(info.has_crc);
-  EXPECT_EQ(info.header_bytes, static_cast<int64_t>(sizeof(ChunkHeader)));
+  ASSERT_EQ(ParseChunkHeader(chunk.data(), bytes, &info), ChunkParse::kOk);
+  EXPECT_EQ(info.rows, 16);
+  EXPECT_EQ(info.cols, 32);
   EXPECT_EQ(info.payload_crc32c,
             Crc32c(chunk.data() + sizeof(ChunkHeader), bytes - sizeof(ChunkHeader)));
 
@@ -156,8 +163,8 @@ TEST(VerifyChunkBytesTest, TruncationIsDetected) {
   const auto chunk = MakeChunk(16, 32);
   for (const int64_t keep : {static_cast<int64_t>(chunk.size()) - 1,
                              static_cast<int64_t>(chunk.size()) / 2,
-                             static_cast<int64_t>(sizeof(ChunkHeader)),
-                             kChunkHeaderBytesV1, int64_t{5}}) {
+                             static_cast<int64_t>(sizeof(ChunkHeader)), int64_t{16},
+                             int64_t{5}}) {
     EXPECT_EQ(VerifyChunkBytes(chunk.data(), keep, nullptr), ChunkVerdict::kCorrupt)
         << "kept " << keep;
   }
@@ -168,38 +175,62 @@ TEST(VerifyChunkBytesTest, OpaqueBytesStayUnverified) {
   // opaque descriptor blobs through the same backends).
   std::vector<uint8_t> blob(512, 0xAB);
   EXPECT_EQ(VerifyChunkBytes(blob.data(), 512, nullptr), ChunkVerdict::kOkUnverified);
-  // Legacy headerless FP32 rows look like this too.
+  // So are headerless FP32 rows (the retired v0 format): backends pass them
+  // through as opaque, and the decode path refuses them (codec_test).
   std::vector<float> legacy(64, 1.5f);
   EXPECT_EQ(VerifyChunkBytes(legacy.data(), 64 * 4, nullptr),
             ChunkVerdict::kOkUnverified);
   EXPECT_EQ(VerifyChunkBytes(nullptr, 0, nullptr), ChunkVerdict::kOkUnverified);
 }
 
-TEST(VerifyChunkBytesTest, V1HeaderParsesButStaysUnverified) {
-  // A 16-byte v1 chunk written by an older build: readable, but carries no CRC.
+TEST(VerifyChunkBytesTest, V1HeaderIsRejectedAsCorrupt) {
+  // A 16-byte v1 chunk (magic, version 1, no checksums) written by an older build.
+  // Only v2 is read: the retired version is a detected corruption on every path —
+  // the verdict, a backend read, and fsck — so callers recompute, never decode it.
   const int64_t rows = 4, cols = 8;
+  const int64_t v1_header = 16;
   const int64_t stride = CodecRowBytes(ChunkCodec::kFp32, cols);
-  std::vector<uint8_t> chunk(static_cast<size_t>(kChunkHeaderBytesV1 + rows * stride),
-                             0x3C);
+  std::vector<uint8_t> chunk(static_cast<size_t>(v1_header + rows * stride), 0x3C);
   const uint32_t magic = kChunkMagic;
   const uint16_t version = 1;
-  const uint8_t codec = 0;  // kFp32
   const uint32_t rows32 = static_cast<uint32_t>(rows), cols32 = static_cast<uint32_t>(cols);
   std::memcpy(chunk.data() + 0, &magic, 4);
   std::memcpy(chunk.data() + 4, &version, 2);
-  chunk[6] = codec;
+  chunk[6] = 0;  // kFp32
   chunk[7] = 0;
   std::memcpy(chunk.data() + 8, &rows32, 4);
   std::memcpy(chunk.data() + 12, &cols32, 4);
+  const int64_t bytes = static_cast<int64_t>(chunk.size());
 
   ChunkInfo info;
-  ASSERT_TRUE(InspectChunk(chunk.data(), static_cast<int64_t>(chunk.size()), 0, &info));
-  EXPECT_FALSE(info.has_crc);
-  EXPECT_EQ(info.header_bytes, kChunkHeaderBytesV1);
-  EXPECT_EQ(info.rows, rows);
-  EXPECT_EQ(info.cols, cols);
-  EXPECT_EQ(VerifyChunkBytes(chunk.data(), static_cast<int64_t>(chunk.size()), nullptr),
-            ChunkVerdict::kOkUnverified);
+  EXPECT_EQ(ParseChunkHeader(chunk.data(), bytes, &info), ChunkParse::kBadHeader);
+  EXPECT_FALSE(InspectChunk(chunk.data(), bytes, &info));
+  EXPECT_EQ(VerifyChunkBytes(chunk.data(), bytes, nullptr), ChunkVerdict::kCorrupt);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hcache_integrity_v1_" + std::to_string(::getpid()));
+  {
+    MemoryBackend memory(1 << 16);
+    FileBackend file(std::vector<std::string>{(dir / "d0").string()}, 1 << 16);
+    for (StorageBackend* store : {static_cast<StorageBackend*>(&memory),
+                                  static_cast<StorageBackend*>(&file)}) {
+      SCOPED_TRACE(store->Name());
+      ASSERT_TRUE(store->WriteChunk({1, 0, 0}, chunk.data(), bytes));
+      std::vector<uint8_t> buf(static_cast<size_t>(bytes), 0);
+      EXPECT_EQ(store->ReadChunk({1, 0, 0}, buf.data(), bytes), kChunkCorrupt);
+      // A v1 chunk torn inside its header is a partial write, not corruption.
+      ASSERT_TRUE(store->WriteChunk({2, 0, 0}, chunk.data(), 12));
+
+      const FsckReport report = RunFsck(store);
+      EXPECT_EQ(report.chunks_scanned, 2);
+      EXPECT_EQ(report.corrupt, 1);
+      EXPECT_EQ(report.partial, 1);
+      EXPECT_EQ(report.unverified, 0);
+      EXPECT_EQ(report.clean, 0);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(VerifyChunkBytesTest, VerdictStableAcrossSimdTiers) {

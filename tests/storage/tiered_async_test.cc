@@ -2,8 +2,9 @@
 // drain-queue rescues, writer backpressure, eviction-failure rollback accounting,
 // delete-vs-drain ordering, and — the load-bearing property — that no lock is ever
 // held across cold-tier IO (probed by re-entering the tier from another thread from
-// INSIDE an instrumented cold backend's read/write). Deterministic LRU/write-back
-// behavior is pinned separately in tiered_backend_test.cc (kSync mode).
+// INSIDE an instrumented cold backend's read/write), plus kSync's ordering of a
+// delete that races the flush. Deterministic LRU/write-back behavior is pinned
+// separately in tiered_backend_test.cc (kSync mode).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -348,6 +349,60 @@ TEST(TieredAsyncTest, DeleteDuringDrainDoesNotResurrectTheContext) {
   EXPECT_FALSE(cold.HasChunk({1, 0, 0}));
   EXPECT_FALSE(tiered.HasChunk({1, 0, 0}));
   EXPECT_EQ(tiered.ChunkSize({1, 0, 0}), -1);
+}
+
+TEST(TieredAsyncTest, SyncWritebackOrdersADeleteRacingTheFlush) {
+  // kSync: the evicting caller waits for its write-back, but the flush itself runs on
+  // the drainer, so a DeleteContext racing it is ordered after the flush and removes
+  // the cold copy. The hook starts the delete from inside the flush's cold write and
+  // gives it a bounded window to finish before the write lands: a tier that lets the
+  // delete overtake the flush strands the deleted context's bytes in the cold tier.
+  MemoryBackend mem(kChunkBytes);
+  InstrumentedBackend cold(&mem);
+  TieredOptions o;
+  o.num_shards = 1;
+  o.writeback = TieredOptions::Writeback::kSync;
+  TieredBackend tiered(&cold, kChunkBytes, o);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool deleted = false;
+  std::atomic<bool> fired{false};
+  std::thread deleter;
+  cold.set_write_hook([&](const ChunkKey& key) {
+    if (key.context_id != 1 || fired.exchange(true)) {
+      return;
+    }
+    deleter = std::thread([&] {
+      tiered.DeleteContext(1);
+      std::lock_guard<std::mutex> lock(mu);
+      deleted = true;
+      cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::milliseconds(200), [&] { return deleted; });
+  });
+
+  const auto v = Payload(kChunkBytes, 'd');
+  ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v.data(), kChunkBytes));
+  ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v.data(), kChunkBytes));  // evicts ctx 1
+  ASSERT_TRUE(fired.load());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(5), [&] { return deleted; })) {
+      lock.unlock();
+      ADD_FAILURE() << "DeleteContext never completed";
+      deleter.detach();
+      return;
+    }
+  }
+  deleter.join();
+  tiered.Quiesce();
+  EXPECT_FALSE(mem.HasChunk({1, 0, 0}));
+  EXPECT_FALSE(tiered.HasChunk({1, 0, 0}));
+  for (const auto& [key, size] : cold.ListChunks()) {
+    EXPECT_NE(key.context_id, 1) << "the deleted context survived in the cold tier";
+  }
 }
 
 TEST(WritebackBackoffTest, EqualJitterStaysInBoundsAndIsDeterministic) {
