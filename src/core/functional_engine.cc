@@ -83,6 +83,13 @@ void FunctionalHCache::SaveKvLayers(int64_t context_id, const PagedKvSequence& s
 
 bool FunctionalHCache::CanRestore(int64_t context_id, const PartitionScheme& scheme,
                                   int64_t n) const {
+  // A scheme must say how every layer comes back: negative counts, or layers outside
+  // the hidden range with no complement to restore them, would leave those layers'
+  // KV blocks holding whatever they held before.
+  if (scheme.layers_hidden < 0 || scheme.layers_other < 0 ||
+      (scheme.complement == ComplementMethod::kNone && scheme.layers_other > 0)) {
+    return false;
+  }
   const ModelConfig& cfg = model_->config();
   const HiddenStateReader reader(store_, cfg, chunk_tokens_);
   const int64_t first_hidden =
@@ -123,31 +130,31 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
     return false;
   }
 
-  int64_t first_hidden = 0;  // hidden-layer range [first_hidden, first_hidden + L_H)
-  seq->ResetForRestore();
-  CHECK(seq->EnsureCapacity(n));
-  if (scheme.complement == ComplementMethod::kRecompute && scheme.layers_other > 0) {
+  // Hidden-layer range [first_hidden, first_hidden + L_H); under the recompute
+  // complement the first L_O = first_hidden layers are rebuilt from raw tokens.
+  const int64_t first_hidden =
+      scheme.complement == ComplementMethod::kRecompute ? scheme.layers_other : 0;
+  if (first_hidden > 0) {
     CHECK_EQ(static_cast<int64_t>(history_tokens.size()), n)
         << "recompute complement needs the original tokens";
-    // Rebuild the first L_O layers (and their KV) from raw tokens.
-    model_->ForwardPartial(history_tokens, seq, scheme.layers_other);
-    first_hidden = scheme.layers_other;
-  } else {
-    seq->CommitTokens(n);
   }
+  seq->ResetForRestore();
+  CHECK(seq->EnsureCapacity(n));
 
   std::vector<int32_t> positions(static_cast<size_t>(n));
   std::iota(positions.begin(), positions.end(), 0);
   const HiddenStateReader reader(store_, cfg, chunk_tokens_);
 
   // Restoration is a two-stream pipeline, mirroring the paper's dedicated transmission
-  // and computation streams: while the caller projects layer i's hidden states into
-  // K/V (compute stream), the flush pool is already reading layer i+1's chunks from
-  // the backend (transmission stream). Each step consumes data loaded one step ahead,
-  // so file/tiered I/O overlaps the projection GEMMs instead of serializing with them.
-  // KV-offloaded layers join the same pipeline: their chunk reads prefetch behind the
-  // last projections. Without a flush pool the plan degrades to the serial loads the
-  // engine always performed — the bytes and math are identical either way.
+  // and computation streams: while the caller computes (recomputes the first L_O
+  // layers, then projects layer i's hidden states into K/V), the flush pool is already
+  // reading the next layer's chunks from the backend. The first hidden layer's read is
+  // submitted before the recompute runs, so it overlaps the token recomputation; each
+  // later step consumes data loaded one step ahead, so file/tiered I/O overlaps the
+  // projection GEMMs instead of serializing with them. KV-offloaded layers join the
+  // same pipeline: their chunk reads prefetch behind the last projections. Without a
+  // flush pool the plan degrades to serial loads — the bytes and math are identical
+  // either way.
   struct LayerState {
     int64_t layer = 0;
     bool from_hidden = false;
@@ -204,6 +211,20 @@ bool FunctionalHCache::RestoreContext(int64_t context_id, const PartitionScheme&
   std::future<void> next_loaded;
   if (flush_pool_ != nullptr && !plan.empty()) {
     next_loaded = submit_load(plan.front());
+  }
+  if (first_hidden > 0) {
+    // Only the recomputed layers' K/V are kept: layer L_O restores from its saved
+    // input, so layer L_O - 1's output is never used. Layers [0, L_O - 1) run in full,
+    // each feeding the next; layer L_O - 1 runs only its pre-norm and K/V projection,
+    // which is what RestoreLayerKv does to the input ForwardPartial returns.
+    const int64_t last = first_hidden - 1;
+    const Tensor last_input = model_->ForwardPartial(history_tokens, seq, last);
+    Tensor k, v;
+    model_->RestoreLayerKv(last, last_input, positions.data(), &k, &v);
+    seq->WriteKv(last, 0, k, v);
+  }
+  if (first_hidden <= 1) {
+    seq->CommitTokens(n);  // ForwardPartial commits tokens only when it runs a layer
   }
   for (size_t idx = 0; idx < plan.size(); ++idx) {
     LayerState& entry = plan[idx];

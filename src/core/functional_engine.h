@@ -5,9 +5,10 @@
 // hidden states through the two-stage saver into the chunk store; eviction releases the
 // paged KV blocks; restoration rebuilds the KV cache according to a partition scheme —
 // hidden-state layers via the K/V projection (plus RoPE at original positions), KV
-// -offloaded layers from stored KV chunks, recomputed layers by re-running the early
-// transformer layers from the raw tokens. Every path lands bit-identical KV, which the
-// integration tests assert.
+// -offloaded layers from stored KV chunks, and the first L_O recomputed layers from the
+// raw tokens: layers [0, L_O - 1) run in full, and layer L_O - 1, whose output the
+// restore never uses, runs only its pre-norm and K/V projection. Every path lands
+// bit-identical KV, which the integration tests assert.
 #ifndef HCACHE_SRC_CORE_FUNCTIONAL_ENGINE_H_
 #define HCACHE_SRC_CORE_FUNCTIONAL_ENGINE_H_
 
@@ -60,6 +61,8 @@ class FunctionalHCache {
 
   // True when everything `scheme` needs to restore `n` tokens of this context is
   // durably stored (hidden chunks for hidden layers, KV chunks for offloaded layers).
+  // False for a malformed scheme: a negative layer count, or layers outside the hidden
+  // range with no complement (kNone) to restore them.
   bool CanRestore(int64_t context_id, const PartitionScheme& scheme, int64_t n) const;
 
   // Deletes all stored state for the context.

@@ -9,6 +9,8 @@
 // Regime selection follows the paper: when C_H > IO_H (compute-bound; transmission has
 // slack) the complement is KV offload — its layers cost IO only. When C_H <= IO_H
 // (IO-bound) the complement is token recomputation — its layers cost compute only.
+// The DES and this solver charge L_O * C_token for recomputed layers; the functional plane
+// (FunctionalHCache) pays (L_O - 1) * C_token + C_H: its last one projects K/V only.
 //
 // Token-wise partitioning (Fig 8a/8c) is implemented for the Fig 13 ablation, including
 // the tile round-up variant; layer-wise is what HCache ships (§4.1.1 explains why).

@@ -23,7 +23,9 @@ struct LayerProfile {
   double io_hidden = 0;   // transmit one layer's hidden states (n tokens), seconds
   double io_kv = 0;       // transmit one layer's KV cache, seconds
   double c_hidden = 0;    // recompute KV from hidden states for one layer, seconds
-  double c_token = 0;     // full prefill compute for one layer, seconds
+  // full prefill compute for one layer, seconds. The DES charges L_O * c_token for L_O
+  // recomputed layers; FunctionalHCache pays (L_O - 1) * c_token + c_hidden.
+  double c_token = 0;
   int64_t history_tokens = 0;
 
   std::string ToString() const;

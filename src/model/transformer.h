@@ -64,10 +64,12 @@ class Transformer {
                  HiddenStateSink* sink = nullptr);
 
   // Runs only the first `num_layers` transformer layers, writing their K/V, and
-  // returns the *un-normalized* input activations to layer `num_layers`. This is the
-  // token-recomputation half of a mixed restoration schedule (§4.1.2: "the first L_O
-  // layers are restored with token recomputation"): it rebuilds the early layers' KV
-  // from raw tokens while later layers restore from hidden states.
+  // returns the *un-normalized* input activations to layer `num_layers`. Tokens are
+  // committed once layer 0 has run, so `num_layers == 0` commits nothing and returns
+  // the embedding. Under the token-recomputation complement (§4.1.2: "the first L_O
+  // layers are restored with token recomputation") the restore engine runs
+  // ForwardPartial(tokens, seq, L_O - 1) and then RestoreLayerKv(L_O - 1, ...) on its
+  // result: layer L_O - 1's output is never used, so only its K/V are computed.
   Tensor ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSequence* seq,
                         int64_t num_layers, HiddenStateSink* sink = nullptr);
 

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "src/common/rng.h"
+#include "src/storage/codec.h"
 #include "src/storage/file_backend.h"
+#include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
 
@@ -141,7 +146,9 @@ TEST_F(FunctionalEngineTest, AllPartitionPointsAreLossless) {
   int64_t ctx = 100;
   for (const auto complement :
        {ComplementMethod::kKvOffload, ComplementMethod::kRecompute}) {
-    for (int64_t lh = 1; lh <= cfg_.num_layers; ++lh) {
+    // lh = 0 restores every layer through the complement (all recomputed, or all
+    // KV-offloaded); lh = N restores every layer from hidden states.
+    for (int64_t lh = 0; lh <= cfg_.num_layers; ++lh) {
       SCOPED_TRACE(testing::Message() << "lh=" << lh << " complement="
                                       << ComplementName(complement));
       PagedKvSequence seq(pool_.get());
@@ -286,6 +293,103 @@ TEST_F(FunctionalEngineTest, CanRestoreChecksOnlySchemeLayers) {
   // A recompute-complement scheme skips the first layers' hidden chunks entirely.
   EXPECT_TRUE(engine_->CanRestore(42, Scheme(2, ComplementMethod::kRecompute), n));
   seq.Evict();
+}
+
+TEST_F(FunctionalEngineTest, MalformedSchemeNeverRestores) {
+  // A scheme that leaves layers with no way back (kNone with L_O > 0) or carries a
+  // negative count must be refused: restoring only part of the layers and returning
+  // true would leave the rest holding whatever their KV blocks held before.
+  const auto prompt = RandomTokens(14, 23);
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(prompt, &seq, engine_->BeginCapture(43));
+  engine_->SealContext(43);
+  seq.Evict();
+  const int64_t n = seq.num_tokens();
+
+  PartitionScheme no_complement = Scheme(2, ComplementMethod::kNone);  // L_O = 2
+  PartitionScheme negative_hidden = Scheme(-1, ComplementMethod::kRecompute);
+  PartitionScheme negative_other = Scheme(cfg_.num_layers + 1, ComplementMethod::kKvOffload);
+  for (const PartitionScheme& s : {no_complement, negative_hidden, negative_other}) {
+    SCOPED_TRACE(testing::Message() << "lh=" << s.layers_hidden << " lo=" << s.layers_other
+                                    << " complement=" << ComplementName(s.complement));
+    EXPECT_FALSE(engine_->CanRestore(43, s, n));
+    EXPECT_FALSE(engine_->RestoreContext(43, s, prompt, &seq));
+    EXPECT_FALSE(seq.has_kv());
+    EXPECT_EQ(seq.num_tokens(), n);
+  }
+
+  // The caller's fallback still restores exactly.
+  ASSERT_TRUE(engine_->RestoreContext(43, Scheme(0, ComplementMethod::kRecompute), prompt,
+                                      &seq));
+  PagedKvSequence ref(pool_.get());
+  model_->Forward(prompt, &ref);
+  ExpectKvEqual(ref, seq);
+}
+
+TEST_F(FunctionalEngineTest, FailedReadOverlappingRecomputeUnwinds) {
+  // The first hidden layer's read (layer L_O) is submitted to the flush pool before the
+  // recompute runs. Damage that chunk at rest: its read fails while the caller is
+  // still recomputing (or, with the read held back, after the recompute is done), and
+  // the restore must unwind cleanly either way.
+  InstrumentedBackend chaos(store_.get());
+  FunctionalHCache engine(model_.get(), &chaos, flush_pool_.get(), /*chunk_tokens=*/8);
+  const auto prompt = RandomTokens(40, 24);
+  PagedKvSequence seq(pool_.get());
+  model_->Forward(prompt, &seq, engine.BeginCapture(44));
+  engine.SealContext(44);
+  seq.Evict();
+  const int64_t n = seq.num_tokens();
+  PagedKvSequence ref(pool_.get());
+  model_->Forward(prompt, &ref);
+
+  const PartitionScheme s = Scheme(2, ComplementMethod::kRecompute);  // L_O = 2
+  const int64_t first_hidden = s.layers_other;
+  ASSERT_TRUE(chaos.CorruptChunk({44, first_hidden, 0}, 8 * (sizeof(ChunkHeader) + 5)));
+  ASSERT_TRUE(engine.CanRestore(44, s, n));
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int delay_ms : {0, 20}) {
+    SCOPED_TRACE(testing::Message() << "read delay " << delay_ms << " ms");
+    std::atomic<int64_t> reads{0};
+    std::atomic<int64_t> reads_in_hook{0};
+    std::atomic<int64_t> caller_thread_reads{0};
+    std::atomic<int64_t> later_layer_reads{0};
+    chaos.set_read_hook([&](const ChunkKey& key) {
+      reads_in_hook.fetch_add(1);
+      reads.fetch_add(1);
+      if (std::this_thread::get_id() == caller) {
+        caller_thread_reads.fetch_add(1);
+      }
+      if (key.layer > first_hidden) {
+        later_layer_reads.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      reads_in_hook.fetch_sub(1);
+    });
+    const int64_t crc_failures = store_->Stats().crc_failures;
+
+    EXPECT_FALSE(engine.RestoreContext(44, s, prompt, &seq));
+    // No pool task is still reading on behalf of RestoreContext's frame, and draining
+    // the pool starts no further read.
+    EXPECT_EQ(reads_in_hook.load(), 0);
+    const int64_t reads_at_return = reads.load();
+    flush_pool_->Drain();
+    EXPECT_EQ(reads.load(), reads_at_return);
+    EXPECT_FALSE(seq.has_kv());
+    EXPECT_EQ(seq.num_tokens(), n);
+    // The damaged layer was read on the flush pool, and the pipeline stopped there.
+    EXPECT_GE(reads_at_return, 1);
+    EXPECT_EQ(caller_thread_reads.load(), 0);
+    EXPECT_EQ(later_layer_reads.load(), 0);
+    EXPECT_GT(store_->Stats().crc_failures, crc_failures);
+    chaos.set_read_hook(nullptr);
+  }
+
+  // The caller's fallback, full recomputation, lands exact KV in the unwound sequence.
+  ASSERT_TRUE(engine.RestoreContext(44, Scheme(0, ComplementMethod::kRecompute), prompt,
+                                    &seq));
+  ExpectKvEqual(ref, seq);
+  engine.DropContext(44);
 }
 
 TEST_F(FunctionalEngineTest, DropContextRemovesChunks) {

@@ -227,6 +227,43 @@ TEST_P(RestorationFidelityTest, RestorationBatchSizeIrrelevant) {
   }
 }
 
+TEST_P(RestorationFidelityTest, PartialForwardThenProjectionMatchesForward) {
+  // The recompute complement's identity: running the first L - 1 layers in full and
+  // then only layer L - 1's K/V projection on their output reproduces the K/V that a
+  // full Forward writes for layer L - 1 — for L = 1 (the projection runs on the
+  // embedding), L = 2 and L = N.
+  const ModelConfig cfg = MakeConfig(GetParam());
+  Harness h(cfg);
+  const int64_t n = 13;
+  const auto toks = RandomTokens(n, cfg.vocab_size, 9);
+  PagedKvSequence ref(&h.pool);
+  h.model.Forward(toks, &ref);
+  std::vector<int32_t> positions(static_cast<size_t>(n));
+  std::iota(positions.begin(), positions.end(), 0);
+
+  for (const int64_t num_layers : {int64_t{1}, int64_t{2}, cfg.num_layers}) {
+    SCOPED_TRACE(testing::Message() << "L=" << num_layers);
+    const int64_t last = num_layers - 1;
+    PagedKvSequence seq(&h.pool);
+    const Tensor input = h.model.ForwardPartial(toks, &seq, last);
+    Tensor k, v;
+    h.model.RestoreLayerKv(last, input, positions.data(), &k, &v);
+    Tensor k_ref, v_ref;
+    ref.ReadKv(last, 0, n, &k_ref, &v_ref);
+    EXPECT_TRUE(Tensor::BitwiseEqual(k_ref, k));
+    EXPECT_TRUE(Tensor::BitwiseEqual(v_ref, v));
+    // The layers ForwardPartial ran in full match Forward as well.
+    for (int64_t layer = 0; layer < last; ++layer) {
+      Tensor k_got, v_got;
+      seq.ReadKv(layer, 0, n, &k_got, &v_got);
+      ref.ReadKv(layer, 0, n, &k_ref, &v_ref);
+      EXPECT_TRUE(Tensor::BitwiseEqual(k_ref, k_got)) << "K layer " << layer;
+      EXPECT_TRUE(Tensor::BitwiseEqual(v_ref, v_got)) << "V layer " << layer;
+    }
+    seq.Evict();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Architectures, RestorationFidelityTest,
                          ::testing::Values("llama", "opt", "gqa", "alibi"));
 
