@@ -18,9 +18,9 @@
 // With `DedupOptions::verify_bytes` (the default) a dedup hit reads the candidate
 // back and byte-compares it against the incoming write; a true collision — however
 // astronomically unlikely at 128 bits — chains to a fresh physical slot
-// (`collision_chains`) instead of silently aliasing two users' states, the exact
-// failure mode the old SharedPrefixManager length-only guard had. Deployments that
-// accept the 2^-64 risk can disable verification and keep dedup-hit writes IO-free.
+// (`collision_chains`) instead of silently aliasing two users' states. Deployments
+// that accept the 2^-64 risk can disable verification and keep dedup-hit writes
+// IO-free.
 //
 // The layer composes with every other plane: it wraps Memory/File/Tiered/Distributed
 // (dedup-over-distributed = fleet-wide single-instancing of the replicated cold

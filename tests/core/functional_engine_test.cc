@@ -9,10 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "src/common/rng.h"
 #include "src/storage/codec.h"
+#include "src/storage/dedup_backend.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
@@ -68,6 +70,19 @@ class FunctionalEngineTest : public ::testing::Test {
     PagedKvSequence seq(pool_.get());
     model_->Forward(prompt, &seq);
     return model_->GreedyDecode(prompt.back(), steps, &seq);
+  }
+
+  // Captures `tokens` under `ctx` and leaves `seq` evicted with its history intact.
+  void CaptureAndEvict(FunctionalHCache* engine, int64_t ctx,
+                       const std::vector<int32_t>& tokens, PagedKvSequence* seq) {
+    model_->Forward(tokens, seq, engine->BeginCapture(ctx));
+    engine->SealContext(ctx);
+    seq->Evict();
+  }
+
+  static std::vector<int32_t> Concat(std::vector<int32_t> a, const std::vector<int32_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
   }
 
   // Compares all layers of two sequences bitwise.
@@ -404,9 +419,9 @@ TEST_F(FunctionalEngineTest, DropContextRemovesChunks) {
 
 TEST_F(FunctionalEngineTest, RestoreIsBitExactAcrossAllBackends) {
   // The storage seam must be invisible to restoration: the same capture→evict→restore
-  // cycle lands bit-identical KV whether chunks live in files, DRAM, or a tiered
+  // cycle lands bit-identical KV whether chunks live in files, DRAM, a tiered
   // hierarchy small enough that the context is evicted (and read back through
-  // write-back) mid-test.
+  // write-back) mid-test, or a dedup index over files.
   const auto prompt = RandomTokens(18, 30);
   PagedKvSequence ref(pool_.get());
   model_->Forward(prompt, &ref);
@@ -418,10 +433,13 @@ TEST_F(FunctionalEngineTest, RestoreIsBitExactAcrossAllBackends) {
       std::vector<std::string>{(base_ / "cold0").string(), (base_ / "cold1").string()},
       1 << 20);
   TieredBackend tiered(&tiered_cold, 8 * cfg_.hidden_dim * sizeof(float));
+  FileBackend dedup_base(std::vector<std::string>{(base_ / "dedup0").string()}, 1 << 20);
+  DedupBackend dedup(&dedup_base);
 
   int64_t ctx = 300;
   for (StorageBackend* backend :
-       {static_cast<StorageBackend*>(&memory), static_cast<StorageBackend*>(&tiered)}) {
+       {static_cast<StorageBackend*>(&memory), static_cast<StorageBackend*>(&tiered),
+        static_cast<StorageBackend*>(&dedup)}) {
     SCOPED_TRACE(backend->Name());
     FunctionalHCache engine(model_.get(), backend, flush_pool_.get(), /*chunk_tokens=*/8);
     PagedKvSequence seq(pool_.get());
@@ -441,6 +459,122 @@ TEST_F(FunctionalEngineTest, RestoreIsBitExactAcrossAllBackends) {
   // The tiered budget really was under pressure: chunks flowed through the cold tier.
   EXPECT_GT(tiered.Stats().writeback_chunks, 0);
   EXPECT_GT(tiered.Stats().cold_hits, 0);
+}
+
+// --- Shared prefixes: ordinary contexts over the dedup store ---
+//
+// A context that starts with a shared system prompt captures its whole prefix+suffix
+// forward like any other. Chunk headers carry no key and a prefix row's activations
+// depend only on the rows before it, so whole prefix chunks are byte-identical across
+// contexts and DedupBackend stores them once.
+
+TEST_F(FunctionalEngineTest, SharedPrefixContextsStoreWholePrefixChunksOnce) {
+  DedupBackend dedup(store_.get());
+  FunctionalHCache engine(model_.get(), &dedup, flush_pool_.get(), /*chunk_tokens=*/8);
+  const auto prefix = RandomTokens(11, 50);  // deliberately not chunk-aligned
+  const auto full_a = Concat(prefix, RandomTokens(7, 51));
+  const auto full_b = Concat(prefix, RandomTokens(9, 52));
+
+  PagedKvSequence sa(pool_.get()), sb(pool_.get());
+  CaptureAndEvict(&engine, 60, full_a, &sa);
+  CaptureAndEvict(&engine, 61, full_b, &sb);
+
+  // One copy of each whole prefix chunk; the chunk holding the prefix's tail and the
+  // suffix chunks are each context's own.
+  const int64_t whole_prefix = static_cast<int64_t>(prefix.size()) / 8;
+  auto own_chunks = [&](const std::vector<int32_t>& full) {
+    return (static_cast<int64_t>(full.size()) + 7) / 8 - whole_prefix;
+  };
+  EXPECT_EQ(store_->chunks_stored(),
+            cfg_.num_layers * (whole_prefix + own_chunks(full_a) + own_chunks(full_b)));
+
+  // Both restore through the ordinary scheduled path, complement included.
+  ASSERT_TRUE(engine.RestoreContext(60, Scheme(3, ComplementMethod::kRecompute), full_a,
+                                    &sa));
+  ASSERT_TRUE(engine.RestoreContext(61, Scheme(cfg_.num_layers, ComplementMethod::kNone), {},
+                                    &sb));
+  PagedKvSequence ra(pool_.get()), rb(pool_.get());
+  model_->Forward(full_a, &ra);
+  model_->Forward(full_b, &rb);
+  ExpectKvEqual(ra, sa);
+  ExpectKvEqual(rb, sb);
+}
+
+TEST_F(FunctionalEngineTest, SharedPrefixHashCollisionNeverAliasesContexts) {
+  // A hash match is only a hint: force every chunk onto one content hash, and two
+  // distinct same-length prompts must still restore their own states.
+  DedupBackend dedup(store_.get());
+  dedup.SetContentHashForTest([](const void*, int64_t) { return ContentHash{1, 2}; });
+  FunctionalHCache engine(model_.get(), &dedup, flush_pool_.get(), /*chunk_tokens=*/8);
+  const auto prompt_a = RandomTokens(12, 53);
+  const auto prompt_b = RandomTokens(12, 54);
+  ASSERT_NE(prompt_a, prompt_b);
+
+  PagedKvSequence sa(pool_.get()), sb(pool_.get());
+  CaptureAndEvict(&engine, 62, prompt_a, &sa);
+  CaptureAndEvict(&engine, 63, prompt_b, &sb);
+  const PartitionScheme s = Scheme(cfg_.num_layers, ComplementMethod::kNone);
+  ASSERT_TRUE(engine.RestoreContext(62, s, {}, &sa));
+  ASSERT_TRUE(engine.RestoreContext(63, s, {}, &sb));
+  PagedKvSequence ra(pool_.get()), rb(pool_.get());
+  model_->Forward(prompt_a, &ra);
+  model_->Forward(prompt_b, &rb);
+  ExpectKvEqual(ra, sa);
+  ExpectKvEqual(rb, sb);
+  EXPECT_GT(dedup.collision_chains(), 0);
+}
+
+TEST_F(FunctionalEngineTest, DroppingOneSharerKeepsTheOtherRestorable) {
+  // Each sharer holds its own reference on the shared prefix chunks: dropping one
+  // context must not delete bytes the other still restores from.
+  DedupBackend dedup(store_.get());
+  FunctionalHCache engine(model_.get(), &dedup, flush_pool_.get(), /*chunk_tokens=*/8);
+  const auto prefix = RandomTokens(10, 55);
+  const auto full_a = Concat(prefix, RandomTokens(6, 56));
+  const auto full_b = Concat(prefix, RandomTokens(5, 57));
+
+  PagedKvSequence sa(pool_.get()), sb(pool_.get());
+  CaptureAndEvict(&engine, 64, full_a, &sa);
+  CaptureAndEvict(&engine, 65, full_b, &sb);
+  ASSERT_GT(dedup.Stats().dedup_hits, 0);
+
+  engine.DropContext(64);
+  ASSERT_TRUE(engine.RestoreContext(65, Scheme(cfg_.num_layers, ComplementMethod::kNone), {},
+                                    &sb));
+  PagedKvSequence rb(pool_.get());
+  model_->Forward(full_b, &rb);
+  ExpectKvEqual(rb, sb);
+  EXPECT_TRUE(dedup.AuditIndex().Healthy());
+
+  // The last referent's drop frees everything.
+  engine.DropContext(65);
+  EXPECT_EQ(dedup.PhysicalBytes(), 0);
+  EXPECT_EQ(store_->chunks_stored(), 0);
+}
+
+TEST_F(FunctionalEngineTest, SharedPrefixSavingsAreCountedInEncodedBytes) {
+  // dedup_bytes_saved is what the store actually avoided writing: the shared chunks'
+  // encoded size under the active codec, so fp16 saves about half of what fp32 does.
+  const auto prefix = RandomTokens(16, 58);  // two whole chunks per layer
+  const auto full_a = Concat(prefix, RandomTokens(5, 59));
+  const auto full_b = Concat(prefix, RandomTokens(3, 60));
+  const int64_t shared_chunks = cfg_.num_layers * static_cast<int64_t>(prefix.size()) / 8;
+
+  std::map<ChunkCodec, int64_t> saved;
+  for (const ChunkCodec codec : {ChunkCodec::kFp32, ChunkCodec::kFp16}) {
+    SCOPED_TRACE(ChunkCodecName(codec));
+    DedupBackend dedup(store_.get());
+    FunctionalHCache engine(model_.get(), &dedup, flush_pool_.get(), /*chunk_tokens=*/8,
+                            codec);
+    PagedKvSequence sa(pool_.get()), sb(pool_.get());
+    CaptureAndEvict(&engine, 66, full_a, &sa);
+    CaptureAndEvict(&engine, 67, full_b, &sb);
+    saved[codec] = dedup.Stats().dedup_bytes_saved;
+    EXPECT_EQ(saved[codec], shared_chunks * EncodedChunkBytes(codec, 8, cfg_.hidden_dim));
+    engine.DropContext(66);
+    engine.DropContext(67);
+  }
+  EXPECT_LT(saved[ChunkCodec::kFp16], saved[ChunkCodec::kFp32]);
 }
 
 TEST_F(FunctionalEngineTest, ReadHiddenMatchesCapture) {
