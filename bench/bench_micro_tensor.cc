@@ -80,8 +80,9 @@ BENCHMARK(BM_GemmNTLargeK)->Arg(1024)->Arg(4096);
 void BM_Rope(benchmark::State& state) {
   const int64_t tokens = state.range(0);
   Tensor x = RandomTensor(tokens, 256, 5);
+  const RopeTable table(tokens, 64);
   for (auto _ : state) {
-    ApplyRopeContiguous(x, 0, 4, 64);
+    ApplyRopeContiguous(x, 0, 4, table);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * tokens);
@@ -181,30 +182,50 @@ JsonValue TimingRow(const std::string& name, const Timing& t, double flops) {
       .Set("max_seconds", t.max_s)
       .Set("spread", (t.max_s - t.min_s) / t.median_s)
       .Set("reps", t.reps)
-      .Set("calls_per_rep", t.inner)
-      .Set("gflops", flops / t.median_s / 1e9);
+      .Set("calls_per_rep", t.inner);
+  if (flops > 0) {
+    row.Set("gflops", flops / t.median_s / 1e9);
+  }
   return row;
 }
 
-// One layer of causal attention over n tokens, as Transformer::Attention runs it on one
-// thread: QK dots, scale, softmax, AV update, per token and head.
-void AttentionLayer(const TensorKernels& kern, const Tensor& q,
+// One layer of causal attention for q.dim(0) new tokens at positions [history,
+// history + q.dim(0)) over a K/V cache holding every position up to the last, as
+// Transformer::Attention runs it on one thread: per block of kAttnBlock tokens and per
+// head, the block's QK dots over the keys every query sees, each query's causal tail,
+// scale, softmax, then the block's AV update and each query's tail.
+void AttentionLayer(const TensorKernels& kern, const Tensor& q, int64_t history,
                     const std::vector<const float*>& k_rows,
                     const std::vector<const float*>& v_rows, int64_t heads, int64_t head_dim,
                     std::vector<float>& scores, Tensor& out) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const int64_t n = q.dim(0), ld = q.dim(1), max_len = history + n;
   std::memset(out.data(), 0, static_cast<size_t>(out.numel()) * sizeof(float));
-  for (int64_t i = 0; i < q.dim(0); ++i) {
-    const int64_t len = i + 1;
+  for (int64_t i0 = 0; i0 < n; i0 += kAttnBlock) {
+    const int64_t nq = std::min(kAttnBlock, n - i0);
+    const int64_t shared = history + i0 + 1;
     for (int64_t h = 0; h < heads; ++h) {
-      kern.qk_dots(q.row(i) + h * head_dim, k_rows.data(), h * head_dim, len, head_dim,
-                   scores.data());
-      for (int64_t j = 0; j < len; ++j) {
-        scores[static_cast<size_t>(j)] *= scale;
+      const float* q_head = q.row(i0) + h * head_dim;
+      float* out_head = out.row(i0) + h * head_dim;
+      kern.qk_dots(q_head, ld, nq, k_rows.data(), h * head_dim, shared, head_dim,
+                   scores.data(), max_len);
+      for (int64_t r = 0; r < nq; ++r) {
+        const int64_t len = shared + r;
+        float* s = scores.data() + r * max_len;
+        kern.qk_dots(q_head + r * ld, ld, 1, k_rows.data() + shared, h * head_dim,
+                     len - shared, head_dim, s + shared, max_len);
+        for (int64_t j = 0; j < len; ++j) {
+          s[j] *= scale;
+        }
+        kern.softmax_row(s, len);
       }
-      SoftmaxRow(scores.data(), len);
-      kern.weighted_rows(scores.data(), v_rows.data(), h * head_dim, len, head_dim,
-                         out.row(i) + h * head_dim);
+      kern.weighted_rows(scores.data(), max_len, nq, v_rows.data(), h * head_dim, shared,
+                         head_dim, out_head, ld);
+      for (int64_t r = 0; r < nq; ++r) {
+        kern.weighted_rows(scores.data() + r * max_len + shared, max_len, 1,
+                           v_rows.data() + shared, h * head_dim, r, head_dim,
+                           out_head + r * ld, ld);
+      }
     }
   }
 }
@@ -212,21 +233,26 @@ void AttentionLayer(const TensorKernels& kern, const Tensor& q,
 // Every tier this host runs, on one thread, at the serving benchmark's model shapes
 // (perfbench: hidden 256, FFN 512, 4 heads of 64): the packed-weight projections at
 // the decode (m=1), question (m=14) and document (m=220) row counts, the per-call
-// GemmNT a 1-row projection paid before weights were packed once, and one layer of
-// attention over 220 tokens.
+// GemmNT a 1-row projection paid before weights were packed once, one layer of
+// attention over 220 tokens, attention for q in {1, 20, 96} new tokens over a history
+// of n - q in {220, 384} tokens (decode, a question, a long turn), the softmax row at
+// n in {220, 640}, SiLU over a 20 x 512 FFN activation, and RoPE over 220 tokens.
 JsonValue TierRows() {
   constexpr int64_t kHidden = 256, kFfn = 512, kHeads = 4, kHeadDim = 64, kTokens = 220;
+  constexpr int64_t kMaxKeys = 384 + 96;
   const int64_t shapes[][2] = {{kHidden, kHidden}, {kHidden, kFfn}, {kFfn, kHidden}};  // k, n
   const int64_t ms[] = {1, 14, kTokens};
 
-  Tensor q = RandomTensor(kTokens, kHidden, 40), kv_k = RandomTensor(kTokens, kHidden, 41),
-         kv_v = RandomTensor(kTokens, kHidden, 42), attn_out({kTokens, kHidden});
+  const Tensor kv_k = RandomTensor(kMaxKeys, kHidden, 41), kv_v = RandomTensor(kMaxKeys, kHidden, 42);
   std::vector<const float*> k_rows, v_rows;
-  for (int64_t j = 0; j < kTokens; ++j) {
+  for (int64_t j = 0; j < kMaxKeys; ++j) {
     k_rows.push_back(kv_k.row(j));
     v_rows.push_back(kv_v.row(j));
   }
-  std::vector<float> scores(kTokens);
+  std::vector<float> scores(static_cast<size_t>(kAttnBlock * kMaxKeys));
+  const Tensor silu_in = RandomTensor(20, kFfn, 45);
+  const RopeTable rope(2048, kHeadDim);
+  const Tensor rope_in = RandomTensor(kTokens, kHidden, 46);
 
   ThreadPool::ResizeShared(1);
   const SimdTier prev = ActiveSimdTier();
@@ -236,8 +262,10 @@ JsonValue TierRows() {
     const SimdTier tier = ForceSimdTier(static_cast<SimdTier>(t));
     auto emit = [&](const std::string& name, const Timing& tm, double flops, int64_t m,
                     int64_t k, int64_t n) {
-      std::printf("  %-7s %-28s %10.2f us  %7.2f GFLOP/s  spread %.2f\n", SimdTierName(tier),
-                  name.c_str(), tm.median_s * 1e6, flops / tm.median_s / 1e9,
+      const std::string rate =
+          flops > 0 ? std::to_string(flops / tm.median_s / 1e9).substr(0, 6) + " GFLOP/s" : "";
+      std::printf("  %-7s %-28s %10.2f us  %-14s  spread %.2f\n", SimdTierName(tier),
+                  name.c_str(), tm.median_s * 1e6, rate.c_str(),
                   (tm.max_s - tm.min_s) / tm.median_s);
       JsonValue row = TimingRow(name, tm, flops);
       row.Set("tier", SimdTierName(tier)).Set("m", m).Set("k", k).Set("n", n);
@@ -262,14 +290,50 @@ JsonValue TierRows() {
         }
       }
     }
-    // QK and AV each do one multiply-add per (query, key, dim): causal pairs n(n+1)/2.
-    const double attn_flops = 2.0 * GemmFlops(kTokens * (kTokens + 1) / 2, kHeadDim, kHeads);
-    emit("attention_n220",
-         TimeCase([&] {
-           AttentionLayer(TensorKernelsFor(tier), q, k_rows, v_rows, kHeads, kHeadDim, scores,
-                          attn_out);
+    // QK and AV each do one multiply-add per (query, key, dim). Rows report m = new
+    // tokens, k = head_dim, n = keys the last token sees.
+    const TensorKernels& kern = TensorKernelsFor(tier);
+    const int64_t attn_shapes[][2] = {{kTokens, kTokens}, {1, 220},  {20, 220},
+                                      {96, 220},          {1, 384},  {20, 384}, {96, 384}};
+    for (const auto& shape : attn_shapes) {
+      const int64_t m = shape[0], n = shape[1];
+      const int64_t history = n - m;
+      const int64_t pairs = m * history + m * (m + 1) / 2;
+      const Tensor q = RandomTensor(m, kHidden, 40);
+      Tensor attn_out({m, kHidden});
+      const std::string name = m == n ? "attention_n" + std::to_string(n)
+                                      : "attention_q" + std::to_string(m) + "_n" +
+                                            std::to_string(n);
+      emit(name,
+           TimeCase([&] {
+             AttentionLayer(kern, q, history, k_rows, v_rows, kHeads, kHeadDim, scores,
+                            attn_out);
+           }),
+           2.0 * GemmFlops(pairs, kHeadDim, kHeads), m, kHeadDim, n);
+    }
+    for (const int64_t n : {220, 640}) {
+      const Tensor base = RandomTensor(1, n, 47);
+      std::vector<float> row(static_cast<size_t>(n));
+      emit("softmax_row_n" + std::to_string(n), TimeCase([&] {
+             std::memcpy(row.data(), base.data(), row.size() * sizeof(float));
+             kern.softmax_row(row.data(), n);
+           }),
+           0.0, 1, 0, n);
+    }
+    Tensor silu_buf = silu_in.Clone();
+    emit("silu_m20_n512", TimeCase([&] {
+           std::memcpy(silu_buf.data(), silu_in.data(),
+                       static_cast<size_t>(silu_in.numel()) * sizeof(float));
+           kern.silu(silu_buf.data(), silu_buf.numel());
          }),
-         attn_flops, kTokens, kHeadDim, kHeads);
+         0.0, 20, 0, kFfn);
+    Tensor rope_buf = rope_in.Clone();
+    emit("rope_n220", TimeCase([&] {
+           std::memcpy(rope_buf.data(), rope_in.data(),
+                       static_cast<size_t>(rope_in.numel()) * sizeof(float));
+           ApplyRopeContiguous(rope_buf, 0, kHeads, rope);
+         }),
+         0.0, kTokens, kHeadDim, kHidden);
   }
   ForceSimdTier(prev);
   return rows;

@@ -23,6 +23,9 @@ Transformer::Transformer(const ModelWeights* weights) : weights_(weights) {
                        PackedWeights(lw.w_down)});
   }
   lm_head_ = PackedWeights(weights->lm_head);
+  if (weights->config.position == PositionKind::kRope) {
+    rope_ = RopeTable(weights->config.max_position, weights->config.head_dim());
+  }
 }
 
 Tensor Transformer::Embed(const std::vector<int32_t>& tokens, const int32_t* positions) const {
@@ -80,7 +83,7 @@ void Transformer::ProjectKv(int64_t layer, const Tensor& normed, const int32_t* 
   AddBiasRows(*k_out, lw.bk);
   AddBiasRows(*v_out, lw.bv);
   if (cfg.position == PositionKind::kRope) {
-    ApplyRope(*k_out, positions, cfg.num_kv_heads, cfg.head_dim());
+    ApplyRope(*k_out, positions, cfg.num_kv_heads, rope_);
   }
 }
 
@@ -111,35 +114,60 @@ Tensor Transformer::Attention(int64_t layer, const Tensor& q, const PagedKvSeque
     v_rows[static_cast<size_t>(j)] = seq.ValueRow(layer, j);
   }
   const TensorKernels& kern = ActiveTensorKernels();
-  // Every (token, head) pair reads shared K/V but writes only its own slice of `out`,
-  // so tokens parallelize freely; each token's math is untouched, keeping the output
-  // bit-identical to the serial loop at any thread count. Later tokens attend over
-  // longer prefixes, so a fine grain (1 token) load-balances the causal skew. The QK
-  // dot and the AV update run in the kernels' canonical orders (kernels.h), the same
-  // on every tier.
-  ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
-    thread_local std::vector<float> scores;  // reused across tokens within each thread
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t causal_len = positions[i] + 1;  // attends to absolute 0..pos inclusive
-      scores.resize(static_cast<size_t>(causal_len));
-      for (int64_t h = 0; h < num_heads; ++h) {
-        const float* q_head = q.row(i) + h * head_dim;
-        const int64_t kv_head_off = (h / group) * head_dim;
-        kern.qk_dots(q_head, k_rows.data(), kv_head_off, causal_len, head_dim,
-                     scores.data());
-        const float slope = alibi ? AlibiSlope(h) : 0.0f;
+  // Tokens go in blocks of kAttnBlock. Keys [0, shared) are visible to every query of a
+  // block, so the block kernels load each of those K/V rows once for the whole block;
+  // each query's causal tail [shared, causal_len) runs as a block of one. The QK dot and
+  // the AV update run in the kernels' canonical orders (kernels.h), which a block does
+  // not change and which the tail continues in ascending j, so every output is the
+  // per-query, per-key result on every tier. Each (block, head) task reads shared K/V
+  // and writes only its own slice of `out`, so the tasks parallelize freely and the
+  // output is bit-identical at any thread count.
+  const int64_t num_blocks = (n + kAttnBlock - 1) / kAttnBlock;
+  const int64_t tasks = num_blocks * num_heads;
+  const int64_t ld = cfg.hidden_dim;
+  // A layer with less QK + AV work than kAttnInlineMacs (a decode step over a few
+  // hundred keys: microseconds) runs inline, since waking the pool would cost more.
+  constexpr int64_t kAttnInlineMacs = int64_t{1} << 17;
+  const int64_t grain = n * num_heads * max_len * head_dim < kAttnInlineMacs ? tasks : 1;
+  ParallelFor(0, tasks, grain, [&](int64_t t0, int64_t t1) {
+    thread_local std::vector<float> scores;  // kAttnBlock rows of max_len, per thread
+    scores.resize(static_cast<size_t>(kAttnBlock * max_len));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t i0 = (t / num_heads) * kAttnBlock;
+      const int64_t h = t % num_heads;
+      const int64_t nq = std::min(kAttnBlock, n - i0);
+      int64_t shared = max_len;
+      for (int64_t r = 0; r < nq; ++r) {
+        shared = std::min<int64_t>(shared, positions[i0 + r] + 1);
+      }
+      const float* q_head = q.row(i0) + h * head_dim;
+      float* out_head = out.row(i0) + h * head_dim;
+      const int64_t kv_head_off = (h / group) * head_dim;
+      kern.qk_dots(q_head, ld, nq, k_rows.data(), kv_head_off, shared, head_dim,
+                   scores.data(), max_len);
+      const float slope = alibi ? AlibiSlope(h) : 0.0f;
+      for (int64_t r = 0; r < nq; ++r) {
+        const int64_t causal_len = positions[i0 + r] + 1;  // absolute 0..pos inclusive
+        float* s = scores.data() + r * max_len;
+        kern.qk_dots(q_head + r * ld, ld, 1, k_rows.data() + shared, kv_head_off,
+                     causal_len - shared, head_dim, s + shared, max_len);
         for (int64_t j = 0; j < causal_len; ++j) {
-          float s = scores[static_cast<size_t>(j)] * scale;
+          s[j] *= scale;
           if (alibi) {
             // Linear distance penalty on the score; K stays position-free, which is why
             // ALiBi models restore with a bare projection.
-            s -= slope * static_cast<float>(positions[i] - static_cast<int32_t>(j));
+            s[j] -= slope * static_cast<float>(positions[i0 + r] - static_cast<int32_t>(j));
           }
-          scores[static_cast<size_t>(j)] = s;
         }
-        SoftmaxRow(scores.data(), causal_len);
-        kern.weighted_rows(scores.data(), v_rows.data(), kv_head_off, causal_len, head_dim,
-                           out.row(i) + h * head_dim);
+        kern.softmax_row(s, causal_len);
+      }
+      kern.weighted_rows(scores.data(), max_len, nq, v_rows.data(), kv_head_off, shared,
+                         head_dim, out_head, ld);
+      for (int64_t r = 0; r < nq; ++r) {
+        const int64_t causal_len = positions[i0 + r] + 1;
+        kern.weighted_rows(scores.data() + r * max_len + shared, max_len, 1,
+                           v_rows.data() + shared, kv_head_off, causal_len - shared, head_dim,
+                           out_head + r * ld, ld);
       }
     }
   });
@@ -204,7 +232,7 @@ Tensor Transformer::ForwardPartial(const std::vector<int32_t>& tokens, PagedKvSe
     Tensor q = MatMulPacked(normed, pw.wq);
     AddBiasRows(q, lw.bq);
     if (cfg.position == PositionKind::kRope) {
-      ApplyRope(q, positions.data(), cfg.num_heads, cfg.head_dim());
+      ApplyRope(q, positions.data(), cfg.num_heads, rope_);
     }
     Tensor k, v;
     ProjectKv(layer, normed, positions.data(), &k, &v);

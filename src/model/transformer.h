@@ -6,9 +6,12 @@
 // Determinism contract: all kernels accumulate in a fixed, batch-size-independent order
 // per output row, so computing K/V for a token during prefill and recomputing it later
 // from the saved layer input produces *identical* floats. The order is also independent
-// of the SIMD tier (src/common/simd.h): the GEMM and attention kernels of every tier are
-// bit-identical to the scalar reference, so a forward pass on one tier and a restore on
-// another agree too (tests/tensor/kernel_matrix_test.cc).
+// of the SIMD tier (src/common/simd.h): the GEMM, attention, softmax and SiLU kernels of
+// every tier are bit-identical to the scalar reference, so a forward pass on one tier
+// and a restore on another agree too (tests/tensor/kernel_matrix_test.cc). Attention
+// runs queries in blocks of kAttnBlock that share each K/V row load, and the block
+// changes no query's bits; softmax and SiLU exponentiate with the one CanonicalExp
+// (src/tensor/kernels.h), never libm, and RoPE reads one angle table built per model.
 //
 // Structure (pre-norm, as in Llama2 and OPT):
 //   h_L  --(capture: this is HCache's hidden state for layer L)-->
@@ -27,6 +30,7 @@
 #include "src/model/kv_cache.h"
 #include "src/model/weights.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/rope.h"
 #include "src/tensor/tensor.h"
 
 namespace hcache {
@@ -119,6 +123,9 @@ class Transformer {
   const ModelWeights* weights_;
   std::vector<PackedLayer> packed_;
   PackedWeights lm_head_;
+  // RoPE angles of every position below max_position (empty for non-RoPE models):
+  // built once here, read by every thread that rotates Q or K.
+  RopeTable rope_;
 };
 
 }  // namespace hcache

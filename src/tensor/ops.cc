@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/thread_pool.h"
+#include "src/tensor/kernels.h"
 
 namespace hcache {
 
@@ -21,24 +22,7 @@ constexpr int64_t kElemGrain = 1 << 14;
 
 }  // namespace
 
-void SoftmaxRow(float* row, int64_t n) {
-  if (n <= 0) {
-    return;
-  }
-  float max_v = row[0];
-  for (int64_t i = 1; i < n; ++i) {
-    max_v = std::max(max_v, row[i]);
-  }
-  float sum = 0.0f;
-  for (int64_t i = 0; i < n; ++i) {
-    row[i] = std::exp(row[i] - max_v);
-    sum += row[i];
-  }
-  const float inv = 1.0f / sum;
-  for (int64_t i = 0; i < n; ++i) {
-    row[i] *= inv;
-  }
-}
+void SoftmaxRow(float* row, int64_t n) { ActiveTensorKernels().softmax_row(row, n); }
 
 void SoftmaxLastDim(Tensor& t) {
   CHECK_EQ(t.rank(), 2);
@@ -100,12 +84,9 @@ void LayerNorm(const Tensor& x, const float* weight, const float* bias, float ep
 }
 
 void SiluInPlace(Tensor& t) {
-  ParallelFor(0, t.numel(), kElemGrain, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      const float x = t.at(i);
-      t.at(i) = x / (1.0f + std::exp(-x));
-    }
-  });
+  const TensorKernels& kern = ActiveTensorKernels();
+  ParallelFor(0, t.numel(), kElemGrain,
+              [&](int64_t i0, int64_t i1) { kern.silu(t.data() + i0, i1 - i0); });
 }
 
 void GeluInPlace(Tensor& t) {

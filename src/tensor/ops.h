@@ -12,7 +12,9 @@
 
 namespace hcache {
 
-// In-place numerically-stable softmax over the last `n` entries of `row`.
+// In-place numerically-stable softmax over row[0, n): the active tier's softmax_row
+// kernel (kernels.h), so the exp is CanonicalExp and the sum runs in the canonical
+// 16-lane order — the same bits on every tier.
 void SoftmaxRow(float* row, int64_t n);
 
 // Softmax over the last dimension of a rank-2 tensor, row by row.
@@ -25,10 +27,13 @@ void RmsNorm(const Tensor& x, const float* weight, float eps, Tensor& out);
 void LayerNorm(const Tensor& x, const float* weight, const float* bias, float eps,
                Tensor& out);
 
-// SiLU (x * sigmoid(x)), in place.
+// SiLU (x * sigmoid(x) = x / (1 + exp(-x))), in place: the active tier's silu kernel
+// (kernels.h) over element ranges, with CanonicalExp, so every tier gives the same bits.
 void SiluInPlace(Tensor& t);
 
-// Tanh-approximated GELU, in place.
+// Tanh-approximated GELU, in place. Stays on std::tanh, outside the kernel tables: the
+// OPT- and ALiBi-family models run it, but the Llama-family (SwiGLU) path the serving
+// benchmark times does not, and a vector tanh would need its own canonical form.
 void GeluInPlace(Tensor& t);
 
 // ReLU, in place.

@@ -130,9 +130,10 @@ TEST(ParallelKernelsTest, RopeBitExactAcrossThreadCounts) {
   for (size_t i = 0; i < positions.size(); ++i) {
     positions[i] = static_cast<int32_t>(3 * i + 1);  // non-contiguous positions
   }
+  const RopeTable table(/*max_position=*/400, /*head_dim=*/64);
   auto [serial, parallel] = SerialVsParallel([&] {
     Tensor x = base.Clone();
-    ApplyRope(x, positions.data(), /*num_heads=*/4, /*head_dim=*/64);
+    ApplyRope(x, positions.data(), /*num_heads=*/4, table);
     return x;
   });
   EXPECT_TRUE(Tensor::BitwiseEqual(serial, parallel));
