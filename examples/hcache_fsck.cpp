@@ -1,11 +1,11 @@
 // hcache-fsck: offline integrity checker for on-disk chunk stores.
 //
 // Scans a FileBackend's device directories, classifies every chunk
-// (clean / unverified / partial / corrupt) by re-parsing headers and re-computing
-// payload CRC32Cs — `unverified` means an opaque blob with no chunk magic; a chunk
-// of a retired format version counts as corrupt — reports orphaned temp files from
-// torn writes, and — with --repair — quarantines the damage so the serving read path
-// sees ordinary misses (recompute-from-tokens) instead of per-read CRC failures.
+// (clean / partial / corrupt) by re-parsing headers and re-computing payload
+// CRC32Cs — a chunk with no chunk magic or of a retired format version counts as
+// corrupt — reports orphaned temp files from torn writes, and — with --repair —
+// quarantines the damage so the serving read path sees ordinary misses
+// (recompute-from-tokens) instead of per-read CRC failures.
 //
 //   hcache-fsck [--repair] [--json] <device_dir> [<device_dir>...]
 //   hcache-fsck --distributed [--replication R] [--repair] [--json] <node_dir>...
@@ -18,9 +18,10 @@
 //
 // Exit status: 0 when the store is healthy (or --repair fixed everything),
 // 1 when damage remains, 2 on usage errors. --selftest builds a throwaway store,
-// injects corruption/truncation/orphans — plus a replicated store with a lost and
-// a rotted copy, plus a content-addressed (dedup) store with an orphaned physical
-// chunk and a vanished one — and checks fsck catches all of it; the CI smoke run.
+// injects corruption (a payload and a magic bit flip)/truncation/orphans — plus a
+// replicated store with a lost copy, a rotted one and one with a flipped magic bit,
+// plus a content-addressed (dedup) store with an orphaned physical chunk and a
+// vanished one — and checks fsck catches all of it; the CI smoke run.
 // (The dedup leg is selftest/library-only: a DedupBackend's logical index lives
 // with the serving process, so there is no directory-only CLI mode for it.)
 #include <cstdio>
@@ -37,6 +38,7 @@
 #include "src/storage/fsck.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/layout.h"
+#include "tests/storage/sealed_chunk.h"
 
 using namespace hcache;
 
@@ -65,7 +67,6 @@ void PrintHuman(const FsckReport& r) {
               static_cast<long long>(r.chunks_scanned),
               static_cast<long long>(r.bytes_scanned));
   std::printf("  clean (CRC verified): %lld\n", static_cast<long long>(r.clean));
-  std::printf("  unverified (opaque):  %lld\n", static_cast<long long>(r.unverified));
   std::printf("  partial (truncated):  %lld\n", static_cast<long long>(r.partial));
   std::printf("  corrupt (CRC failed): %lld\n", static_cast<long long>(r.corrupt));
   std::printf("  orphaned temp files:  %lld\n",
@@ -118,23 +119,20 @@ int RunSelftest() {
     FileBackend store(dirs, kChunkBytes);
     InstrumentedBackend chaos(&store);
     // Six well-formed v2 chunks across two contexts.
-    std::vector<uint8_t> payload(static_cast<size_t>(EncodedChunkBytes(
-        ChunkCodec::kFp32, /*rows=*/16, /*cols=*/32)));
+    int64_t chunk_size = 0;
     for (int64_t ctx = 1; ctx <= 2; ++ctx) {
       for (int64_t c = 0; c < 3; ++c) {
-        for (size_t i = sizeof(ChunkHeader); i < payload.size(); ++i) {
-          payload[i] = static_cast<uint8_t>(ctx * 31 + c * 7 + i);
-        }
-        WriteChunkHeader(ChunkCodec::kFp32, 16, 32, payload.data());
-        SELFTEST_CHECK(chaos.WriteChunk(ChunkKey{ctx, 0, c}, payload.data(),
-                                        static_cast<int64_t>(payload.size())));
+        const auto chunk = SealedChunk(16, 32, static_cast<uint32_t>(ctx * 31 + c * 7));
+        chunk_size = static_cast<int64_t>(chunk.size());
+        SELFTEST_CHECK(chaos.WriteChunk(ChunkKey{ctx, 0, c}, chunk.data(), chunk_size));
       }
     }
-    // Damage: one payload bit flip, one lost tail, one orphaned temp file.
+    // Damage: one payload bit flip, one magic bit flip, one lost tail, one orphaned
+    // temp file.
     SELFTEST_CHECK(chaos.CorruptChunk(ChunkKey{1, 0, 1},
                                       8 * (sizeof(ChunkHeader) + 5) + 2));
-    SELFTEST_CHECK(chaos.TruncateChunk(ChunkKey{2, 0, 2},
-                                       static_cast<int64_t>(payload.size() / 2)));
+    SELFTEST_CHECK(chaos.CorruptChunk(ChunkKey{1, 0, 2}, /*bit_offset=*/0));
+    SELFTEST_CHECK(chaos.TruncateChunk(ChunkKey{2, 0, 2}, chunk_size / 2));
     std::FILE* orphan = std::fopen((root / "d0" / "ctx1" / "L0_C9.bin.tmp").c_str(), "wb");
     SELFTEST_CHECK(orphan != nullptr);
     std::fputs("torn", orphan);
@@ -150,22 +148,23 @@ int RunSelftest() {
   FsckReport before = RunFsck(&store, fsck);
   std::printf("%s\n", before.ToJson().c_str());
   SELFTEST_CHECK(before.chunks_scanned == 6);
-  SELFTEST_CHECK(before.clean == 4);
-  SELFTEST_CHECK(before.corrupt == 1);
+  SELFTEST_CHECK(before.clean == 3);
+  SELFTEST_CHECK(before.corrupt == 2);
   SELFTEST_CHECK(before.partial == 1);
   SELFTEST_CHECK(before.orphaned_temp_files == 1);
   SELFTEST_CHECK(!before.Healthy());
   fsck.repair = true;
   FsckReport repaired = RunFsck(&store, fsck);
-  SELFTEST_CHECK(repaired.repaired == 3);
+  SELFTEST_CHECK(repaired.repaired == 4);
   fsck.repair = false;
   FsckReport after = RunFsck(&store, fsck);
   std::printf("%s\n", after.ToJson().c_str());
   SELFTEST_CHECK(after.Healthy());
-  SELFTEST_CHECK(after.chunks_scanned == 4 && after.clean == 4);
+  SELFTEST_CHECK(after.chunks_scanned == 3 && after.clean == 3);
   fs::remove_all(root);
 
-  // Distributed leg: three file-backed nodes, R=2; lose one copy, rot another.
+  // Distributed leg: three file-backed nodes, R=2; lose one copy, rot another, and
+  // flip a magic bit of a third.
   const fs::path droot = fs::temp_directory_path() / "hcache_fsck_selftest_dist";
   fs::remove_all(droot);
   std::vector<std::string> node_dirs;
@@ -179,33 +178,30 @@ int RunSelftest() {
         std::vector<std::string>{node_dirs[static_cast<size_t>(node)]}, bytes);
   };
   DistributedColdBackend dist(3, kChunkBytes, dopts, factory);
-  std::vector<uint8_t> payload(static_cast<size_t>(EncodedChunkBytes(
-      ChunkCodec::kFp32, /*rows=*/16, /*cols=*/32)));
   for (int64_t c = 0; c < 4; ++c) {
-    for (size_t i = sizeof(ChunkHeader); i < payload.size(); ++i) {
-      payload[i] = static_cast<uint8_t>(c * 17 + i * 3);
-    }
-    WriteChunkHeader(ChunkCodec::kFp32, 16, 32, payload.data());
-    SELFTEST_CHECK(dist.WriteChunk(ChunkKey{9, 0, c}, payload.data(),
-                                   static_cast<int64_t>(payload.size())));
+    const auto chunk = SealedChunk(16, 32, static_cast<uint32_t>(c * 17));
+    SELFTEST_CHECK(dist.WriteChunk(ChunkKey{9, 0, c}, chunk.data(),
+                                   static_cast<int64_t>(chunk.size())));
   }
   const auto home0 = dist.CheckReplication(ChunkKey{9, 0, 0}).home;
   SELFTEST_CHECK(dist.node_store(home0[0])->DeleteChunk(ChunkKey{9, 0, 0}));
   const auto home1 = dist.CheckReplication(ChunkKey{9, 0, 1}).home;
   SELFTEST_CHECK(dist.node_instrument(home1[0])->CorruptChunk(
       ChunkKey{9, 0, 1}, 8 * (sizeof(ChunkHeader) + 11)));
+  const auto home2 = dist.CheckReplication(ChunkKey{9, 0, 2}).home;
+  SELFTEST_CHECK(dist.node_instrument(home2[0])->CorruptChunk(ChunkKey{9, 0, 2}, 0));
 
   FsckOptions dist_fsck;
   dist_fsck.scan_dirs = node_dirs;
   FsckReport dist_before = RunFsck(&dist, dist_fsck);
   std::printf("%s\n", dist_before.ToJson().c_str());
-  SELFTEST_CHECK(dist_before.under_replicated == 2);
-  SELFTEST_CHECK(dist_before.corrupt == 1);
+  SELFTEST_CHECK(dist_before.under_replicated == 3);
+  SELFTEST_CHECK(dist_before.corrupt == 2);
   SELFTEST_CHECK(dist_before.nodes.size() == 3);
   SELFTEST_CHECK(!dist_before.Healthy());
   dist_fsck.repair = true;
   FsckReport dist_fixed = RunFsck(&dist, dist_fsck);
-  SELFTEST_CHECK(dist_fixed.repaired == 3);  // 1 quarantine + 2 re-replications
+  SELFTEST_CHECK(dist_fixed.repaired == 5);  // 2 quarantines + 3 re-replications
   dist_fsck.repair = false;
   FsckReport dist_after = RunFsck(&dist, dist_fsck);
   std::printf("%s\n", dist_after.ToJson().c_str());
@@ -213,6 +209,13 @@ int RunSelftest() {
   for (int64_t c = 0; c < 4; ++c) {
     SELFTEST_CHECK(dist.CheckReplication(ChunkKey{9, 0, c}).FullyReplicated());
   }
+  // The magic-flipped chunk reads back bit-identical from its repaired copies.
+  const auto want = SealedChunk(16, 32, 2 * 17);
+  std::vector<uint8_t> got(want.size());
+  SELFTEST_CHECK(dist.ReadChunk(ChunkKey{9, 0, 2}, got.data(),
+                                static_cast<int64_t>(got.size())) ==
+                 static_cast<int64_t>(want.size()));
+  SELFTEST_CHECK(got == want);
   fs::remove_all(droot);
 
   // Dedup leg: a content-addressed store with a refcount-invariant violation of
@@ -222,28 +225,24 @@ int RunSelftest() {
   {
     FileBackend phys({(dd_root / "p0").string()}, kChunkBytes);
     DedupBackend dedup(&phys);
-    std::vector<uint8_t> blob(4096);
-    for (size_t i = 0; i < blob.size(); ++i) {
-      blob[i] = static_cast<uint8_t>(i * 13 + 7);
-    }
+    const auto shared = SealedChunk(16, 32, 7);
+    const auto blob = SealedChunk(16, 32, 8);
+    const auto blob_size = static_cast<int64_t>(blob.size());
     // Three contexts share one physical chunk; a second unique chunk rides along.
     for (int64_t ctx = 1; ctx <= 3; ++ctx) {
-      SELFTEST_CHECK(dedup.WriteChunk(ChunkKey{ctx, 0, 0}, blob.data(),
-                                      static_cast<int64_t>(blob.size())));
+      SELFTEST_CHECK(dedup.WriteChunk(ChunkKey{ctx, 0, 0}, shared.data(), blob_size));
     }
-    blob[0] ^= 0xff;
-    SELFTEST_CHECK(dedup.WriteChunk(ChunkKey{4, 0, 0}, blob.data(),
-                                    static_cast<int64_t>(blob.size())));
+    SELFTEST_CHECK(dedup.WriteChunk(ChunkKey{4, 0, 0}, blob.data(), blob_size));
     SELFTEST_CHECK(RunFsck(&dedup).Healthy());
 
     // Orphan: bytes in the physical store no index entry claims (a crash between
     // physical write and index publish). Missing: the shared chunk's bytes vanish
     // behind the index's back (media loss).
-    SELFTEST_CHECK(phys.WriteChunk(ChunkKey{77, 77, 77}, blob.data(), 512));
+    SELFTEST_CHECK(phys.WriteChunk(ChunkKey{77, 77, 77}, blob.data(), blob_size));
     const auto phys_chunks = dedup.ListPhysicalChunks();
     SELFTEST_CHECK(phys_chunks.size() == 2);
-    // Delete the 3-referent chunk: the one whose bytes differ from `blob` (which
-    // now holds context 4's content).
+    // Delete the 3-referent chunk: the one whose bytes differ from `blob` (context
+    // 4's content).
     ChunkKey shared_key{};
     for (const auto& [pkey, psize] : phys_chunks) {
       std::vector<uint8_t> tmp(static_cast<size_t>(psize));
@@ -266,9 +265,9 @@ int RunSelftest() {
     SELFTEST_CHECK(dd_fixed.repaired == 2);  // orphan deleted + dead entry dropped
     // The lost chunk's referents now read as ordinary misses (recompute
     // fallback), not corrupt; the intact chunk still serves.
-    std::vector<uint8_t> buf(4096);
-    SELFTEST_CHECK(dedup.ReadChunk(ChunkKey{1, 0, 0}, buf.data(), 4096) == -1);
-    SELFTEST_CHECK(dedup.ReadChunk(ChunkKey{4, 0, 0}, buf.data(), 4096) == 4096);
+    std::vector<uint8_t> buf(blob.size());
+    SELFTEST_CHECK(dedup.ReadChunk(ChunkKey{1, 0, 0}, buf.data(), blob_size) == -1);
+    SELFTEST_CHECK(dedup.ReadChunk(ChunkKey{4, 0, 0}, buf.data(), blob_size) == blob_size);
     SELFTEST_CHECK(!phys.HasChunk(ChunkKey{77, 77, 77}));
     FsckReport dd_after = RunFsck(&dedup);
     std::printf("%s\n", dd_after.ToJson().c_str());

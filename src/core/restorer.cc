@@ -122,26 +122,18 @@ RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) co
       break;
 
     case RestoreMethod::kHCacheOnly:
-      io_tasks.assign(static_cast<size_t>(nl), {p.io_hidden, p.c_hidden});
-      r.bytes_read = static_cast<double>(nl) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-      r.hidden_bytes_read = r.bytes_read;
-      r.flops = static_cast<double>(nl) * HiddenToKvFlopsPerLayer(cfg_, n);
-      r.scheme.layers_hidden = nl;
-      r.scheme.complement = ComplementMethod::kNone;
-      break;
-
     case RestoreMethod::kHCache: {
-      // SolveLayerWise performs plan selection internally (mixed schedule vs pure
-      // strategies); execute whatever plan it returns.
-      const PartitionScheme s = SolveLayerWise(p, nl);
-      r.scheme = s;
+      // kHCache executes whatever plan SolveLayerWise selects (it performs plan
+      // selection internally: mixed schedule vs pure strategies); kHCacheOnly is the
+      // all-hidden plan.
+      if (method == RestoreMethod::kHCache) {
+        r.scheme = SolveLayerWise(p, nl);
+      } else {
+        r.scheme.layers_hidden = nl;
+        r.scheme.complement = ComplementMethod::kNone;
+      }
+      const PartitionScheme& s = r.scheme;
       switch (s.complement) {
-        case ComplementMethod::kNone:
-          io_tasks.assign(static_cast<size_t>(nl), {p.io_hidden, p.c_hidden});
-          r.bytes_read = static_cast<double>(nl) * HiddenIoBytesPerLayer(cfg_, n, codec_);
-          r.hidden_bytes_read = r.bytes_read;
-          r.flops = static_cast<double>(nl) * HiddenToKvFlopsPerLayer(cfg_, n);
-          break;
         case ComplementMethod::kKvOffload:
           // Hidden layers stream first (each triggers its projection); the KV layers'
           // transfers fill the transmission slack behind them (Fig 8d).
@@ -154,6 +146,7 @@ RestoreResult Restorer::Restore(RestoreMethod method, int64_t history_tokens) co
                          static_cast<double>(s.layers_other) * KvIoBytesPerLayer(cfg_, n);
           r.flops = static_cast<double>(s.layers_hidden) * HiddenToKvFlopsPerLayer(cfg_, n);
           break;
+        case ComplementMethod::kNone:  // layers_other == 0: the plan below, exactly
         case ComplementMethod::kRecompute:
           // The first L_O layers recompute from tokens while hidden states for the
           // remaining layers prefetch (§4.1.2).

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/common/logging.h"
+#include "src/storage/codec.h"
 
 namespace hcache {
 
@@ -13,6 +14,15 @@ namespace {
 // Latency of one synchronous small write on the DirectIO path (submission + flush);
 // the two-stage saver exists to keep this off the critical path.
 constexpr double kSyncWriteLatency = 120e-6;
+
+// The (codec, cols) of sealed rows exactly `row_bytes` wide, as a descriptor chunk
+// seals its stand-in token rows: FP16 elements, or INT8 ones after the 4-byte scale.
+// False for 1- and 3-byte rows, which no codec's row stride expresses.
+bool DescriptorRowFormat(int64_t row_bytes, ChunkCodec* codec, int64_t* cols) {
+  *codec = row_bytes % 2 == 0 ? ChunkCodec::kFp16 : ChunkCodec::kInt8;
+  *cols = row_bytes % 2 == 0 ? row_bytes / 2 : row_bytes - 4;
+  return *cols > 0;
+}
 
 }  // namespace
 
@@ -189,16 +199,20 @@ void ServingEngine::StartExternal() {
   report_.state_codec = options_.state_codec;
 
   // Context state is persisted through the configured backend as descriptor chunks
-  // (state_bytes_per_token per history token, context id = session id). Saving appends
-  // from the first incomplete chunk (the two-stage saver's seal-and-rewrite pattern);
-  // restoration streams every chunk back, which is what drives per-tier hit counts.
+  // (state_bytes_per_token per history token, context id = session id), each a
+  // sealed v2 chunk of all-zero stand-in rows. Saving appends from the first
+  // incomplete chunk (the two-stage saver's seal-and-rewrite pattern); restoration
+  // streams every chunk back, which is what drives per-tier hit counts.
   StorageBackend* backend = options_.state_backend;
   if (backend != nullptr) {
     CHECK_GT(options_.state_bytes_per_token, 0) << "state_bytes_per_token must be positive";
-    CHECK_LE(EncodedStateBytesPerToken(), backend->chunk_bytes())
+    const int64_t encoded_bpt = EncodedStateBytesPerToken();
+    CHECK(DescriptorRowFormat(encoded_bpt, &descriptor_codec_, &descriptor_cols_))
+        << "a " << encoded_bpt << "-byte encoded descriptor row has no sealed-chunk codec";
+    const int64_t header = static_cast<int64_t>(sizeof(ChunkHeader));
+    CHECK_LE(header + encoded_bpt, backend->chunk_bytes())
         << "encoded state bytes per token exceed the backend's chunk capacity";
-    chunk_capacity_tokens_ =
-        std::max<int64_t>(1, backend->chunk_bytes() / EncodedStateBytesPerToken());
+    chunk_capacity_tokens_ = (backend->chunk_bytes() - header) / encoded_bpt;
     state_buf_.assign(static_cast<size_t>(backend->chunk_bytes()), '\0');
   } else {
     chunk_capacity_tokens_ = 1;
@@ -219,8 +233,9 @@ void ServingEngine::SaveState(int64_t session, int64_t old_tokens, int64_t new_t
   for (int64_t c = first_chunk; c <= last_chunk; ++c) {
     const int64_t chunk_tokens =
         std::min(chunk_capacity_tokens_, new_tokens - c * chunk_capacity_tokens_);
+    WriteChunkHeader(descriptor_codec_, chunk_tokens, descriptor_cols_, state_buf_.data());
     backend->WriteChunk(ChunkKey{session, 0, c}, state_buf_.data(),
-                        chunk_tokens * encoded_bpt);
+                        EncodedChunkBytes(descriptor_codec_, chunk_tokens, descriptor_cols_));
   }
   const int64_t appended = new_tokens - old_tokens;
   report_.state_logical_bytes += appended * options_.state_bytes_per_token;

@@ -318,6 +318,8 @@ class ServingEngine {
   Restoration restoring_;
   std::vector<char> state_buf_;
   int64_t chunk_capacity_tokens_ = 1;
+  ChunkCodec descriptor_codec_ = ChunkCodec::kFp32;  // sealed descriptor row format
+  int64_t descriptor_cols_ = 1;
   ReplicaLifecycle lifecycle_ = ReplicaLifecycle::kUp;
   ServingReport report_;
 };

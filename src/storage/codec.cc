@@ -205,11 +205,11 @@ ChunkParse ParseChunkHeader(const void* data, int64_t bytes, ChunkInfo* info) {
   CHECK(info != nullptr);
   uint32_t magic = 0;
   if (data == nullptr || bytes < static_cast<int64_t>(sizeof(magic))) {
-    return ChunkParse::kOpaque;
+    return ChunkParse::kTruncated;
   }
   std::memcpy(&magic, data, sizeof(magic));
   if (magic != kChunkMagic) {
-    return ChunkParse::kOpaque;
+    return ChunkParse::kBadHeader;
   }
   if (bytes < static_cast<int64_t>(sizeof(ChunkHeader))) {
     return ChunkParse::kTruncated;

@@ -90,11 +90,10 @@ struct ChunkInfo {
 // The outcome of parsing a stored chunk's header.
 enum class ChunkParse {
   kOk,         // a v2 header whose CRC holds, sized exactly for the bytes stored
-  kOpaque,     // no chunk magic: bytes that never claimed the chunk format
-  kBadHeader,  // magic present, but the header CRC, version, codec, geometry or an
+  kBadHeader,  // no chunk magic, or the header CRC, version, codec, geometry or an
                // overlong size contradicts it
-  kTruncated,  // magic present, but fewer bytes than the header (or than the payload
-               // an intact header claims) — a torn write
+  kTruncated,  // fewer bytes than the magic, than the header, or than the payload an
+               // intact header claims — a torn write
 };
 
 // The one parser of the chunk format: every reader of ChunkHeader fields (decode,

@@ -21,7 +21,7 @@ inline uint64_t Mix64(uint64_t x) {
 // One 64-bit multiply-mix lane over the payload: 8-byte little-endian words through
 // a seeded multiply-xorshift accumulator, scalar tail folded in by byte. Two lanes
 // with independent seeds give 128 effectively independent bits on non-adversarial
-// data (and verify_bytes covers the adversarial case).
+// data (and the dedup-hit byte compare covers the adversarial case).
 uint64_t HashLane(const uint8_t* p, int64_t n, uint64_t seed) {
   uint64_t h = Mix64(seed ^ static_cast<uint64_t>(n));
   int64_t i = 0;
@@ -59,8 +59,8 @@ ChunkKey DedupBackend::PhysicalKey(const PhysId& id) {
                   static_cast<int64_t>(id.hash.lo & 0x7fffffffffffffffull), id.chain};
 }
 
-DedupBackend::DedupBackend(StorageBackend* base, const DedupOptions& options)
-    : StorageBackend(base->chunk_bytes()), base_(base), options_(options) {
+DedupBackend::DedupBackend(StorageBackend* base)
+    : StorageBackend(base->chunk_bytes()), base_(base) {
   CHECK(base != nullptr);
 }
 
@@ -148,29 +148,23 @@ bool DedupBackend::WriteOne(const ChunkKey& key, const void* data, int64_t bytes
       if (entry.bytes != bytes) {
         continue;  // same hash, different size: a collision by construction
       }
-      if (options_.verify_bytes) {
-        // Pin the candidate and compare bytes outside the lock. A mismatch is a
-        // true 128-bit collision: chain past it instead of aliasing.
-        ++entry.pins;
-        lock.unlock();
-        std::vector<uint8_t> stored(static_cast<size_t>(bytes));
-        const int64_t got =
-            base_->ReadChunkUnverified(PhysicalKey(id), stored.data(), bytes);
-        const bool same =
-            got == bytes && std::memcmp(stored.data(), data, static_cast<size_t>(bytes)) == 0;
-        lock.lock();
-        UnpinLocked(lock, id);
-        if (phys_.find(id) == phys_.end()) {
-          rescan = true;  // candidate vanished while we compared; restart the walk
-          break;
-        }
-        if (!same) {
-          ++collision_chains_;
-          continue;
-        }
-        match_id = id;
-        matched = true;
+      // Pin the candidate and compare bytes outside the lock. A mismatch is a
+      // true 128-bit collision: chain past it instead of aliasing.
+      ++entry.pins;
+      lock.unlock();
+      std::vector<uint8_t> stored(static_cast<size_t>(bytes));
+      const int64_t got = base_->ReadChunkUnverified(PhysicalKey(id), stored.data(), bytes);
+      const bool same =
+          got == bytes && std::memcmp(stored.data(), data, static_cast<size_t>(bytes)) == 0;
+      lock.lock();
+      UnpinLocked(lock, id);
+      if (phys_.find(id) == phys_.end()) {
+        rescan = true;  // candidate vanished while we compared; restart the walk
         break;
+      }
+      if (!same) {
+        ++collision_chains_;
+        continue;
       }
       match_id = id;
       matched = true;

@@ -21,9 +21,6 @@ namespace fs = std::filesystem;
 FsckClass ClassifyChunk(const uint8_t* data, int64_t bytes, std::string* detail) {
   ChunkInfo info;
   switch (ParseChunkHeader(data, bytes, &info)) {
-    case ChunkParse::kOpaque:
-      detail->assign("opaque: no chunk magic");
-      return FsckClass::kUnverified;
     case ChunkParse::kTruncated:
       if (info.cols > 0) {
         const int64_t expected = EncodedChunkBytes(info.codec, info.rows, info.cols);
@@ -36,7 +33,8 @@ FsckClass ClassifyChunk(const uint8_t* data, int64_t bytes, std::string* detail)
       }
       return FsckClass::kPartial;
     case ChunkParse::kBadHeader:
-      detail->assign("header CRC mismatch or unsupported format version");
+      detail->assign("bad header: no chunk magic, header CRC mismatch or unsupported "
+                     "format version");
       return FsckClass::kCorrupt;
     case ChunkParse::kOk:
       break;
@@ -74,8 +72,6 @@ const char* FsckClassName(FsckClass c) {
   switch (c) {
     case FsckClass::kClean:
       return "clean";
-    case FsckClass::kUnverified:
-      return "unverified";
     case FsckClass::kPartial:
       return "partial";
     case FsckClass::kCorrupt:
@@ -119,9 +115,6 @@ void ScanStore(StorageBackend* store, bool repair, int node, FsckReport* report,
       case FsckClass::kClean:
         ++report->clean;
         continue;
-      case FsckClass::kUnverified:
-        ++report->unverified;
-        continue;  // healthy-but-unchecked: counted, not listed
       case FsckClass::kPartial:
         ++report->partial;
         break;
@@ -280,8 +273,7 @@ FsckReport RunFsck(StorageBackend* backend, const FsckOptions& options) {
 std::string FsckReport::ToJson() const {
   std::ostringstream os;
   os << "{\"chunks_scanned\":" << chunks_scanned << ",\"bytes_scanned\":" << bytes_scanned
-     << ",\"clean\":" << clean << ",\"unverified\":" << unverified
-     << ",\"partial\":" << partial << ",\"corrupt\":" << corrupt
+     << ",\"clean\":" << clean << ",\"partial\":" << partial << ",\"corrupt\":" << corrupt
      << ",\"orphaned_temp_files\":" << orphaned_temp_files
      << ",\"under_replicated\":" << under_replicated
      << ",\"dedup_orphans\":" << dedup_orphans << ",\"dedup_missing\":" << dedup_missing

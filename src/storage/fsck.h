@@ -4,13 +4,11 @@
 // and classifies it:
 //
 //   kClean      — header parses, payload CRC32C matches (bit-exact as written).
-//   kUnverified — an opaque blob with no chunk magic (the serving plane's
-//                 descriptors). Nothing to verify against; counted, not listed.
 //   kPartial    — the bytes end inside the header, or an intact header claims more
 //                 payload than the chunk holds: a torn/truncated write (lost tail).
-//   kCorrupt    — chunk bears the magic but fails its header or payload CRC, names
-//                 a format version other than the current one, or is internally
-//                 inconsistent: a media fault, bit rot, or a retired format.
+//   kCorrupt    — anything else: no chunk magic, a header or payload CRC mismatch,
+//                 a format version other than the current one, or an internally
+//                 inconsistent header: a media fault, bit rot, or a retired format.
 //
 // The classification rides codec.h's ParseChunkHeader; fsck reads no header field
 // itself.
@@ -18,7 +16,6 @@
 // With `repair` set, corrupt and partial chunks are *quarantined* — deleted from the
 // backend so the read path reports them absent (-1) instead of corrupt (-2), which
 // turns a per-read CRC failure into an ordinary recompute-from-tokens miss.
-// Unverified chunks are never touched: no checksum means no evidence of damage.
 //
 // Against a DistributedColdBackend the scan goes deeper: every node's store is
 // walked separately (per-node counts in the report), and a logical pass flags
@@ -57,16 +54,15 @@ namespace hcache {
 
 enum class FsckClass {
   kClean = 0,
-  kUnverified = 1,
-  kPartial = 2,
-  kCorrupt = 3,
+  kPartial = 1,
+  kCorrupt = 2,
   // Distributed only: the chunk's bytes may be fine somewhere, but it sits below
   // its home replica count (missing or corrupt home copies).
-  kUnderReplicated = 4,
+  kUnderReplicated = 3,
   // Dedup only (see the header comment): refcount-invariant violations.
-  kDedupOrphan = 5,   // physical chunk with zero logical referents
-  kDedupMissing = 6,  // logical referents whose physical chunk is gone
-  kDedupDrift = 7,    // index refcount != recounted referents
+  kDedupOrphan = 4,   // physical chunk with zero logical referents
+  kDedupMissing = 5,  // logical referents whose physical chunk is gone
+  kDedupDrift = 6,    // index refcount != recounted referents
 };
 
 const char* FsckClassName(FsckClass c);
@@ -105,7 +101,6 @@ struct FsckReport {
   int64_t chunks_scanned = 0;
   int64_t bytes_scanned = 0;
   int64_t clean = 0;
-  int64_t unverified = 0;
   int64_t partial = 0;
   int64_t corrupt = 0;
   int64_t orphaned_temp_files = 0;

@@ -150,8 +150,8 @@ void HiddenStateWriter::Seal() {
 int64_t HiddenStateWriter::tokens_saved() const { return layers_.empty() ? 0 : layers_[0].tokens_seen; }
 
 HiddenStateReader::HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
-                                     int64_t chunk_tokens, bool verify)
-    : store_(store), cfg_(cfg), chunk_tokens_(chunk_tokens), verify_(verify) {
+                                     int64_t chunk_tokens)
+    : store_(store), cfg_(cfg), chunk_tokens_(chunk_tokens) {
   CHECK(store != nullptr);
 }
 
@@ -186,11 +186,7 @@ bool HiddenStateReader::ReadRowsInto(int64_t context_id, int64_t key_layer, int6
         ChunkReadRequest{ChunkKey{context_id, key_layer, c}, buf + c * chunk_cap,
                          chunk_cap, /*result=*/-1};
   }
-  if (verify_) {
-    store_->ReadChunks(reqs);
-  } else {
-    store_->ReadChunksUnverified(reqs);
-  }
+  store_->ReadChunks(reqs);
   for (int64_t c = 0; c < num_chunks; ++c) {
     const uint8_t* chunk = buf + c * chunk_cap;
     const int64_t got = reqs[static_cast<size_t>(c)].result;

@@ -14,7 +14,8 @@
 // returns to the pool when the write completes.
 //
 // `HiddenStateWriter` is the per-sequence sink; `HiddenStateReader` is the chunked
-// read path every restore (hidden states and offloaded KV alike) goes through.
+// read path every restore (hidden states and offloaded KV alike) goes through. The
+// reader submits verified reads only: a chunk decodes after its payload CRC holds.
 #ifndef HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 #define HCACHE_SRC_STORAGE_HIDDEN_SAVER_H_
 
@@ -125,13 +126,10 @@ class HiddenStateReader {
     float* dst = nullptr;
   };
 
-  // `verify` selects the batched read flavor the reads submit: true (the production
-  // default) funnels every chunk through CRC verification; false reads raw bytes
-  // (ReadChunksUnverified) — for trusted-memory deployments that opt out and for the
-  // bench row that measures exactly what verification costs, since the two flavors
-  // share every other instruction of the restore path.
+  // Every read is a verified batch (ReadChunks): each chunk's CRC is checked before
+  // it decodes.
   HiddenStateReader(const StorageBackend* store, const ModelConfig& cfg,
-                    int64_t chunk_tokens = kDefaultChunkTokens, bool verify = true);
+                    int64_t chunk_tokens = kDefaultChunkTokens);
 
   // Reads tokens [0, n) of `layer`. CHECK-fails if chunks are missing, short, or
   // corrupt — use only where absence is a programming error (tests, benches).
@@ -170,7 +168,6 @@ class HiddenStateReader {
   const StorageBackend* store_;
   ModelConfig cfg_;
   int64_t chunk_tokens_;
-  bool verify_;
 };
 
 }  // namespace hcache

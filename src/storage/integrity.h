@@ -6,16 +6,13 @@
 // misdirected IO are routine, and a flipped bit in a chunk would otherwise decode
 // into silently wrong KV. VerifyChunkBytes classifies a stored chunk:
 //
-//   kOkVerified   — a chunk whose payload CRC32C matches its header. The bytes are
-//                   what the writer sealed.
-//   kOkUnverified — an opaque blob that never claimed the chunk format (no magic;
-//                   the serving plane's descriptor chunks). Readable, not
-//                   attestable, and never decoded as chunk rows.
-//   kCorrupt      — bytes that CLAIM the chunk format (magic present) but fail it:
-//                   payload CRC mismatch, header CRC mismatch, a format version
-//                   other than the current one, or a size that contradicts the
-//                   header (truncation). Backends surface this as kChunkCorrupt —
-//                   never as decoded data.
+//   kOkVerified — a sealed v2 chunk whose payload CRC32C matches its header. The
+//                 bytes are what the writer sealed.
+//   kCorrupt    — anything else: no chunk magic, a payload or header CRC mismatch,
+//                 a format version other than the current one, or a size that
+//                 contradicts the header (truncation). Every backend stores sealed
+//                 chunks only, so bytes that fail the format are damage. Backends
+//                 surface this as kChunkCorrupt — never as decoded data.
 //
 // Both entry points classify through codec.h's ParseChunkHeader.
 #ifndef HCACHE_SRC_STORAGE_INTEGRITY_H_
@@ -25,12 +22,12 @@
 
 namespace hcache {
 
-enum class ChunkVerdict { kOkVerified = 0, kOkUnverified = 1, kCorrupt = 2 };
+enum class ChunkVerdict { kOkVerified = 0, kCorrupt = 1 };
 
 const char* ChunkVerdictName(ChunkVerdict verdict);
 
 // Classifies `bytes` stored bytes. When `checked_bytes` is non-null it receives the
-// number of payload bytes actually CRC-checked (> 0 only for kOkVerified) — the
+// number of payload bytes CRC-checked (0 unless kOkVerified) — the
 // figure StorageStats::crc_checked_bytes accumulates.
 ChunkVerdict VerifyChunkBytes(const void* data, int64_t bytes,
                               int64_t* checked_bytes = nullptr);

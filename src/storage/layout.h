@@ -67,8 +67,9 @@ int64_t CodecRowBytes(ChunkCodec codec, int64_t cols);
 //          header_crc32c  — over the first 20 header bytes, so a bit flip inside
 //                           the header itself (rows, cols, codec) is detected
 //                           before any field is trusted.
-//   Versions below 2 (v0 headerless FP32, v1 without checksums) are rejected: a
-//   chunk bearing the magic with any other version reads as kChunkCorrupt.
+//   v2 is the only chunk kind a backend stores. Versions below 2 (v0 headerless
+//   FP32, v1 without checksums) are rejected: a chunk bearing the magic with any
+//   other version, and bytes without the magic, read as kChunkCorrupt.
 //
 //   Crash consistency: FileBackend publishes a chunk by writing `<path>.tmp`,
 //   fsync-ing it, then rename(2)-ing it over the final path — a reader never

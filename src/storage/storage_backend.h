@@ -25,6 +25,9 @@
 // base class. The paper's restore streams whole layers of chunks, so the batch is
 // the unit a backend optimizes; one chunk is just its smallest case.
 //
+// A backend stores sealed v2 chunks only (layout.h): verified reads treat any other
+// bytes, including a chunk without the magic, as damage.
+//
 // Restoration speed is bounded by how fast a backend streams chunks back, so each
 // backend exposes uniform stats — including per-tier hit counts — that serving
 // reports surface.
@@ -49,7 +52,8 @@ struct ChunkKey {
 };
 
 // Read-path status for a chunk whose stored bytes FAILED integrity verification
-// (ChunkHeader v2 payload-CRC mismatch, or a header that contradicts itself).
+// (ChunkHeader v2 payload-CRC mismatch, no chunk magic, or a header that
+// contradicts itself).
 // Distinct from -1 (absent / short buffer): a corrupt chunk EXISTS — callers must
 // not retry the read or treat the key as free, they must fall back to recompute
 // (and fsck can quarantine it). Returned in a ChunkReadRequest's `result`.
@@ -159,8 +163,8 @@ class StorageBackend {
   //   * Results: each request's `result` is the chunk's byte count on success, with
   //     `buf` holding the chunk bytes; -1 when the chunk is absent or larger than
   //     `buf_bytes`; kChunkCorrupt (-2) when the stored bytes exist but fail
-  //     integrity verification (v2 CRC mismatch; counted in Stats().crc_failures,
-  //     no data delivered). Requests may be serviced in any order and concurrently;
+  //     integrity verification (no sealed v2 chunk, or a CRC mismatch; counted in
+  //     Stats().crc_failures, no data delivered). Requests may be serviced in any order and concurrently;
   //     duplicate keys in one batch are allowed (each is served independently).
   //   * Partial failure: an absent chunk, a short buffer or a corrupt chunk fails
   //     ONLY its own request. An absent chunk or short buffer writes nothing to

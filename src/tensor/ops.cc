@@ -1,3 +1,9 @@
+// Contraction off, as in kernels.cc: an FMA-capable build (-march=native) must not
+// fuse a multiply into its add and change the row-op bits. Precedes every function.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "src/tensor/ops.h"
 
 #include <algorithm>

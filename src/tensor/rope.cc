@@ -1,3 +1,9 @@
+// Contraction off, as in kernels.cc: an FMA-capable build (-march=native) must not
+// fuse a multiply into its add and change the Q/K bits. Precedes every function.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "src/tensor/rope.h"
 
 #include <cmath>
@@ -15,6 +21,9 @@ constexpr int64_t kRopeGrainTokens = 8;
 
 // Rotates every head of one token's row by that position's angles. The pair loop runs
 // innermost, over memory contiguous in both the row and the table, so it vectorizes.
+// The even lane's a*cos - b*sin is written a*cos + b*-sin (the same bits): GCC 12's
+// vectorizer fuses an add lane beside a subtract lane into vfmaddsub even with
+// contraction off.
 void RopeRow(float* row, const float* cos_sin, int64_t num_heads, int64_t head_dim) {
   for (int64_t h = 0; h < num_heads; ++h) {
     float* head = row + h * head_dim;
@@ -23,8 +32,8 @@ void RopeRow(float* row, const float* cos_sin, int64_t num_heads, int64_t head_d
       const float sin_a = cos_sin[2 * i + 1];
       const float a = head[2 * i];
       const float b = head[2 * i + 1];
-      head[2 * i] = a * cos_a - b * sin_a;
-      head[2 * i + 1] = a * sin_a + b * cos_a;
+      head[2 * i] = a * cos_a + b * -sin_a;
+      head[2 * i + 1] = b * cos_a + a * sin_a;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "src/serving/engine.h"
 #include "src/storage/codec.h"
 #include "src/storage/file_backend.h"
+#include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
 
@@ -186,15 +187,10 @@ TEST_F(EngineBackendTest, DamagedStateFallsBackToRecomputeNotDrop) {
   ASSERT_TRUE(memory.HasChunk({7, 0, 0}));
   ASSERT_TRUE(memory.HasChunk({8, 0, 0}));
 
-  // Session 7's state rots in place. The descriptor blobs are opaque (no format
-  // claim), so a plain bit flip would pass unverified — overwrite with a SEALED
-  // chunk whose payload is then flipped, which the verified read path must flag.
-  std::vector<uint8_t> poison(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, 4, 8)), 0x5A);
-  WriteChunkHeader(ChunkCodec::kFp32, 4, 8, poison.data());
-  poison[sizeof(ChunkHeader) + 3] ^= 0x01;
-  ASSERT_TRUE(memory.WriteChunk({7, 0, 0}, poison.data(),
-                                static_cast<int64_t>(poison.size())));
+  // Session 7's sealed descriptor rots in place: one payload bit flips at rest,
+  // which the verified read path must flag.
+  InstrumentedBackend chaos(&memory);
+  ASSERT_TRUE(chaos.CorruptChunk({7, 0, 0}, 8 * (sizeof(ChunkHeader) + 3)));
   // Session 8's state is simply gone (a cold tier that lost the file).
   ASSERT_TRUE(memory.DeleteChunk({8, 0, 0}));
 
@@ -222,6 +218,7 @@ TEST_F(EngineBackendTest, IntactStateNeverTriggersFallback) {
   EXPECT_EQ(r.rounds_completed, r.rounds_submitted);
   EXPECT_EQ(r.restore_fallbacks, 0);
   EXPECT_EQ(r.storage.crc_failures, 0);
+  EXPECT_GT(r.storage.crc_checked_bytes, 0) << "descriptor chunks are sealed and verified";
 }
 
 }  // namespace

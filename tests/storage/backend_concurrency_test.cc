@@ -14,6 +14,7 @@
 #include "src/storage/memory_backend.h"
 #include "src/storage/storage_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -22,17 +23,23 @@ constexpr int64_t kChunkBytes = 4096;
 constexpr int kThreads = 8;
 constexpr int kOpsPerThread = 3000;
 
-// Deterministic payload for a key: every byte is a function of the key, so any torn
-// or cross-wired read is detectable from the payload alone.
-char FillByte(const ChunkKey& key) {
-  return static_cast<char>(0x5a ^ (key.context_id * 131 + key.layer * 31 + key.chunk_index));
+// Deterministic sealed chunk for a key: every byte is a function of the key and the
+// size, so any torn or cross-wired read is detectable from the bytes alone.
+std::vector<uint8_t> KeyChunk(const ChunkKey& key, int64_t bytes) {
+  return SealedChunkOfBytes(
+      bytes, static_cast<uint32_t>(key.context_id * 131 + key.layer * 31 + key.chunk_index));
+}
+
+// True when a successful read returned exactly KeyChunk(key, got).
+bool ReadMatches(const ChunkKey& key, const std::vector<char>& buf, int64_t got) {
+  return std::memcmp(buf.data(), KeyChunk(key, got).data(), static_cast<size_t>(got)) == 0;
 }
 
 struct ThreadTally {
   int64_t writes = 0;
   int64_t reads = 0;       // successful reads
   int64_t read_bytes = 0;  // bytes returned by successful reads
-  int64_t corrupt = 0;     // payload mismatches (must stay 0)
+  int64_t corrupt = 0;     // payload mismatches or failed CRCs (must stay 0)
 };
 
 // xorshift: cheap per-thread deterministic op mixer (no libc rand, TSan-friendly).
@@ -55,25 +62,25 @@ void Hammer(StorageBackend* backend, int tid, ThreadTally* tally,
     key.context_id = static_cast<int64_t>(r % 16);       // 16 shared contexts
     key.layer = static_cast<int64_t>((r >> 8) % 4);
     key.chunk_index = static_cast<int64_t>((r >> 16) % 8);
-    const int64_t bytes = 256 + static_cast<int64_t>((r >> 24) % (kChunkBytes - 256));
+    // 256 .. 4092 bytes: a header plus a whole number of FP32 elements.
+    const int64_t bytes = 24 + 4 * (58 + static_cast<int64_t>((r >> 24) % 960));
     const uint64_t kind = (r >> 56) % 10;
     if (kind < 5) {  // 50% writes
-      std::memset(buf.data(), FillByte(key), static_cast<size_t>(bytes));
-      ASSERT_TRUE(backend->WriteChunk(key, buf.data(), bytes));
+      const auto chunk = KeyChunk(key, bytes);
+      ASSERT_TRUE(backend->WriteChunk(key, chunk.data(), bytes));
       ++tally->writes;
     } else if (kind < 9) {  // 40% reads
       const int64_t got = backend->ReadChunk(key, buf.data(), kChunkBytes);
       if (got >= 0) {
         ++tally->reads;
         tally->read_bytes += got;
-        // Same-key writers all write the same pattern, so any successful read must
-        // return it in full — a torn read or a stale-size copy breaks this.
-        for (int64_t i = 0; i < got; ++i) {
-          if (buf[static_cast<size_t>(i)] != FillByte(key)) {
-            ++tally->corrupt;
-            break;
-          }
+        // Same-key writers write one chunk per size, so any successful read must
+        // return one of them in full — a torn read or a stale-size copy breaks this.
+        if (!ReadMatches(key, buf, got)) {
+          ++tally->corrupt;
         }
+      } else if (got == kChunkCorrupt) {
+        ++tally->corrupt;
       }
     } else {  // 10% deletes (sessions ending)
       backend->DeleteContext(key.context_id);
@@ -199,12 +206,10 @@ TEST(BackendConcurrencyTest, DistinctChunkWritersNeverCollide) {
   constexpr int kChunksPerThread = 200;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&backend, t] {
-      std::vector<char> buf(kChunkBytes);
       for (int c = 0; c < kChunksPerThread; ++c) {
         const ChunkKey key{/*context_id=*/100 + t, /*layer=*/0, /*chunk_index=*/c};
         const int64_t bytes = 128 + (c % 8) * 64;
-        std::memset(buf.data(), FillByte(key), static_cast<size_t>(bytes));
-        ASSERT_TRUE(backend.WriteChunk(key, buf.data(), bytes));
+        ASSERT_TRUE(backend.WriteChunk(key, KeyChunk(key, bytes).data(), bytes));
       }
     });
   }
@@ -219,9 +224,7 @@ TEST(BackendConcurrencyTest, DistinctChunkWritersNeverCollide) {
       const int64_t bytes = 128 + (c % 8) * 64;
       expected_bytes += bytes;
       ASSERT_EQ(backend.ReadChunk(key, buf.data(), kChunkBytes), bytes);
-      for (int64_t i = 0; i < bytes; ++i) {
-        ASSERT_EQ(buf[static_cast<size_t>(i)], FillByte(key));
-      }
+      ASSERT_TRUE(ReadMatches(key, buf, bytes));
     }
   }
   EXPECT_EQ(backend.chunks_stored(), kThreads * kChunksPerThread);

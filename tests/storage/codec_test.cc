@@ -138,8 +138,9 @@ TEST(CodecTest, Fp32ChunkRoundTripsBitwise) {
 
 TEST(CodecTest, HeaderlessChunkNeverDecodes) {
   // The retired v0 format: raw FP32 rows with no header. Even sized exactly like a
-  // complete v2 FP32 chunk — so the size-only completeness check passes — it is an
-  // opaque blob: the reader refuses it and decodes nothing into the destination.
+  // complete v2 FP32 chunk — so the size-only completeness check passes — it has no
+  // chunk magic, so it is a bad header: the verified read reports it corrupt and the
+  // reader decodes nothing into the destination.
   const ModelConfig cfg = ModelConfig::TinyLlama(2, 24, 2);
   const int64_t rows = 8, cols = cfg.hidden_dim;
   const Tensor t = RandomRows(rows, cols, 6);
@@ -148,7 +149,7 @@ TEST(CodecTest, HeaderlessChunkNeverDecodes) {
   std::memcpy(raw.data(), t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
   ChunkInfo info;
   EXPECT_EQ(ParseChunkHeader(raw.data(), static_cast<int64_t>(raw.size()), &info),
-            ChunkParse::kOpaque);
+            ChunkParse::kBadHeader);
   EXPECT_FALSE(InspectChunk(raw.data(), static_cast<int64_t>(raw.size()), &info));
 
   MemoryBackend store(1 << 16);
@@ -166,6 +167,11 @@ TEST(CodecTest, InspectRejectsGarbage) {
   std::vector<uint8_t> junk(13, 0xab);  // no magic
   ChunkInfo info;
   EXPECT_FALSE(InspectChunk(junk.data(), static_cast<int64_t>(junk.size()), &info));
+  EXPECT_EQ(ParseChunkHeader(junk.data(), static_cast<int64_t>(junk.size()), &info),
+            ChunkParse::kBadHeader);
+  // Fewer bytes than the magic itself: a torn write, whatever the bytes are.
+  EXPECT_EQ(ParseChunkHeader(junk.data(), 3, &info), ChunkParse::kTruncated);
+  EXPECT_EQ(ParseChunkHeader(nullptr, 0, &info), ChunkParse::kTruncated);
   // Truncated encoded chunk: header promises more rows than the bytes hold.
   const Tensor t = RandomRows(8, 16, 8);
   auto chunk = EncodeWholeChunk(ChunkCodec::kFp16, t);

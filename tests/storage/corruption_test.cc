@@ -14,26 +14,17 @@
 #include "src/core/partition.h"
 #include "src/model/transformer.h"
 #include "src/storage/codec.h"
+#include "src/storage/distributed_backend.h"
 #include "src/storage/file_backend.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
 
 constexpr int64_t kChunkBytes = 64 * 1024;
-
-// A sealed v2 chunk with deterministic FP32 payload.
-std::vector<uint8_t> SealedChunk(int64_t rows, int64_t cols, uint8_t salt) {
-  std::vector<uint8_t> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));
-  for (size_t i = sizeof(ChunkHeader); i < chunk.size(); ++i) {
-    chunk[i] = static_cast<uint8_t>(salt + i * 13);
-  }
-  WriteChunkHeader(ChunkCodec::kFp32, rows, cols, chunk.data());
-  return chunk;
-}
 
 class CorruptionTest : public ::testing::Test {
  protected:
@@ -231,6 +222,53 @@ TEST_F(CorruptionTest, CorruptKvChunkFailsRestoreGracefully) {
   EXPECT_FALSE(engine.RestoreContext(ctx_id, scheme, /*history_tokens=*/{}, &seq));
   EXPECT_FALSE(seq.has_kv());
   EXPECT_EQ(seq.num_tokens(), n);
+}
+
+// A replicated store survives what a single store cannot: with the primary's copy
+// of a hidden-state chunk missing its chunk magic, the verified read fails over to
+// the clean replica and the restore lands KV bit-identical to a never-evicted
+// reference — no recompute.
+TEST_F(CorruptionTest, RestoreOverDistributedFailsOverAMagicFlippedReplica) {
+  const ModelConfig cfg = ModelConfig::TinyLlama(/*layers=*/4, /*hidden=*/64, /*heads=*/4);
+  const ModelWeights weights = ModelWeights::Random(cfg, /*seed=*/42);
+  Transformer model(&weights);
+  KvBlockPool pool(KvPoolConfig::ForModel(cfg, /*num_blocks=*/64, /*block_tokens=*/8));
+  DistributedColdOptions opts;
+  opts.background_repair = false;
+  DistributedColdBackend store(/*num_nodes=*/3, /*chunk_bytes=*/1 << 20, opts);
+  FunctionalHCache engine(&model, &store, /*flush_pool=*/nullptr, /*chunk_tokens=*/8);
+
+  const std::vector<int32_t> prompt = {11, 42, 7, 99, 3, 250, 17, 64, 128, 5,
+                                       61, 12, 93, 30, 4, 201};
+  const int64_t ctx_id = 1;
+  PagedKvSequence seq(&pool);
+  HiddenStateSink* sink = engine.BeginCapture(ctx_id);
+  model.Forward(prompt, &seq, sink);
+  engine.SealContext(ctx_id);
+  PagedKvSequence ref(&pool);
+  model.Forward(prompt, &ref);
+  const int64_t n = seq.num_tokens();
+  seq.Evict();
+
+  const ChunkKey key{ctx_id, 2, 0};
+  const auto home = store.CheckReplication(key).home;
+  ASSERT_EQ(home.size(), 2u);
+  ASSERT_TRUE(store.node_instrument(home[0])->CorruptChunk(key, /*bit_offset=*/0));
+
+  PartitionScheme scheme;
+  scheme.layers_hidden = cfg.num_layers;
+  scheme.layers_other = 0;
+  scheme.complement = ComplementMethod::kNone;
+  ASSERT_TRUE(engine.RestoreContext(ctx_id, scheme, /*history_tokens=*/{}, &seq));
+  EXPECT_EQ(store.Stats().failover_reads, 1);
+  EXPECT_EQ(store.Stats().crc_failures, 0);
+  for (int64_t layer = 0; layer < cfg.num_layers; ++layer) {
+    Tensor k_ref, v_ref, k_got, v_got;
+    ref.ReadKv(layer, 0, n, &k_ref, &v_ref);
+    seq.ReadKv(layer, 0, n, &k_got, &v_got);
+    EXPECT_TRUE(Tensor::BitwiseEqual(k_ref, k_got)) << "layer " << layer;
+    EXPECT_TRUE(Tensor::BitwiseEqual(v_ref, v_got)) << "layer " << layer;
+  }
 }
 
 TEST_F(CorruptionTest, RestoreSucceedsVerifiedWhenUndamaged) {

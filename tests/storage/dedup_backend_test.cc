@@ -15,13 +15,12 @@
 
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
 
 constexpr int64_t kChunkBytes = 4096;
-
-std::vector<char> Payload(int64_t size, char fill) { return std::vector<char>(size, fill); }
 
 class DedupBackendTest : public ::testing::Test {
  protected:
@@ -32,7 +31,7 @@ class DedupBackendTest : public ::testing::Test {
 };
 
 TEST_F(DedupBackendTest, IdenticalContentIsStoredOnce) {
-  const auto data = Payload(1000, 'x');
+  const auto data = SealedChunkOfBytes(1000, 'x');
   constexpr int64_t kCopies = 16;
   for (int64_t ctx = 0; ctx < kCopies; ++ctx) {
     ASSERT_TRUE(dedup_.WriteChunk({ctx, 0, 0}, data.data(), 1000));
@@ -55,7 +54,7 @@ TEST_F(DedupBackendTest, IdenticalContentIsStoredOnce) {
 }
 
 TEST_F(DedupBackendTest, DeleteDecrefsAndLastReferentFreesPhysical) {
-  const auto data = Payload(800, 's');
+  const auto data = SealedChunkOfBytes(800, 's');
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, data.data(), 800));
   ASSERT_TRUE(dedup_.WriteChunk({2, 0, 0}, data.data(), 800));
   ASSERT_TRUE(dedup_.DeleteChunk({1, 0, 0}));
@@ -72,8 +71,8 @@ TEST_F(DedupBackendTest, DeleteDecrefsAndLastReferentFreesPhysical) {
 }
 
 TEST_F(DedupBackendTest, OverwriteMovesReferenceAndFreesUnsharedContent) {
-  const auto a = Payload(700, 'a');
-  const auto b = Payload(900, 'b');
+  const auto a = SealedChunkOfBytes(700, 'a');
+  const auto b = SealedChunkOfBytes(900, 'b');
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, a.data(), 700));
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, b.data(), 900));
   // 'a' had a single referent; the overwrite released it.
@@ -81,7 +80,7 @@ TEST_F(DedupBackendTest, OverwriteMovesReferenceAndFreesUnsharedContent) {
   EXPECT_EQ(dedup_.PhysicalBytes(), 900);
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(dedup_.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), 900);
-  EXPECT_EQ(buf[0], 'b');
+  EXPECT_EQ(std::memcmp(buf.data(), b.data(), 900), 0);
 
   // Re-writing identical content at the same key is a no-op for refcounts:
   // repeatedly sealing a partial chunk must not leak references.
@@ -95,12 +94,12 @@ TEST_F(DedupBackendTest, OverwriteMovesReferenceAndFreesUnsharedContent) {
 }
 
 TEST_F(DedupBackendTest, TrueHashCollisionChainsToFreshChunk) {
-  // Force every payload onto one content hash: verify_bytes must catch the
+  // Force every payload onto one content hash: the byte compare must catch the
   // mismatch and chain to a fresh physical slot instead of aliasing.
   dedup_.SetContentHashForTest(
       [](const void*, int64_t) { return ContentHash{0x1234, 0x5678}; });
-  const auto a = Payload(1000, 'a');
-  const auto b = Payload(1000, 'b');  // same size, same (forced) hash, different bytes
+  const auto a = SealedChunkOfBytes(1000, 'a');
+  const auto b = SealedChunkOfBytes(1000, 'b');  // same size, same (forced) hash, different bytes
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, a.data(), 1000));
   ASSERT_TRUE(dedup_.WriteChunk({2, 0, 0}, b.data(), 1000));
   EXPECT_EQ(dedup_.Stats().unique_chunks, 2);
@@ -115,17 +114,17 @@ TEST_F(DedupBackendTest, TrueHashCollisionChainsToFreshChunk) {
 
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(dedup_.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), 1000);
-  EXPECT_EQ(buf[0], 'a');
+  EXPECT_EQ(std::memcmp(buf.data(), a.data(), 1000), 0);
   ASSERT_EQ(dedup_.ReadChunk({2, 0, 0}, buf.data(), kChunkBytes), 1000);
-  EXPECT_EQ(buf[0], 'b');
+  EXPECT_EQ(std::memcmp(buf.data(), b.data(), 1000), 0);
   EXPECT_TRUE(dedup_.AuditIndex().Healthy());
 }
 
 TEST_F(DedupBackendTest, DistinctContentHashesAreDistinct) {
   // Sanity on the production hash: distinct payloads (including same-length ones)
   // get distinct hashes; identical payloads hash identically.
-  const auto a = Payload(1000, 'a');
-  const auto b = Payload(1000, 'b');
+  const auto a = SealedChunkOfBytes(1000, 'a');
+  const auto b = SealedChunkOfBytes(1000, 'b');
   const ContentHash ha = HashChunkContent(a.data(), 1000);
   const ContentHash hb = HashChunkContent(b.data(), 1000);
   EXPECT_NE(ha, hb);
@@ -135,7 +134,7 @@ TEST_F(DedupBackendTest, DistinctContentHashesAreDistinct) {
 }
 
 TEST_F(DedupBackendTest, AuditDetectsAndRepairsOrphanPhysical) {
-  const auto data = Payload(600, 'k');
+  const auto data = SealedChunkOfBytes(600, 'k');
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, data.data(), 600));
   // Seed an orphan directly in the wrapped store (a crash between physical write
   // and index publish would leave exactly this).
@@ -158,7 +157,7 @@ TEST_F(DedupBackendTest, AuditDetectsAndRepairsOrphanPhysical) {
 }
 
 TEST_F(DedupBackendTest, AuditDetectsAndRepairsMissingPhysical) {
-  const auto data = Payload(600, 'm');
+  const auto data = SealedChunkOfBytes(600, 'm');
   ASSERT_TRUE(dedup_.WriteChunk({1, 0, 0}, data.data(), 600));
   ASSERT_TRUE(dedup_.WriteChunk({2, 0, 0}, data.data(), 600));
   // Lose the physical bytes behind the index's back.
@@ -189,7 +188,7 @@ TEST_F(DedupBackendTest, TieredStackSurfacesDedupFigures) {
   MemoryBackend inner(kChunkBytes);
   DedupBackend dedup(&inner);
   TieredBackend tiered(&dedup, /*dram_budget_bytes=*/2 * kChunkBytes);
-  const auto data = Payload(kChunkBytes, 'z');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 'z');
   for (int64_t ctx = 0; ctx < 8; ++ctx) {
     ASSERT_TRUE(tiered.WriteChunk({ctx, 0, 0}, data.data(), kChunkBytes));
   }
@@ -210,9 +209,9 @@ TEST_F(DedupBackendTest, RefcountConservationHammer) {
   constexpr int kContents = 4;
   constexpr int kKeysPerThread = 16;
   constexpr int64_t kBytes = 512;
-  std::vector<std::vector<char>> contents;
+  std::vector<std::vector<uint8_t>> contents;
   for (int c = 0; c < kContents; ++c) {
-    contents.push_back(Payload(kBytes, static_cast<char>('A' + c)));
+    contents.push_back(SealedChunkOfBytes(kBytes, static_cast<uint32_t>(c)));
   }
 
   std::atomic<int> failures{0};
@@ -263,7 +262,7 @@ TEST_F(DedupBackendTest, ConcurrentWritersOfSameNewContentConvergeOnOneCopy) {
   // The kWriting wait path: many threads race to publish the SAME content that is
   // not yet stored. Exactly one physical copy must result.
   constexpr int kThreads = 8;
-  const auto data = Payload(2048, 'q');
+  const auto data = SealedChunkOfBytes(2048, 'q');
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < kThreads; ++t) {

@@ -21,6 +21,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/layout.h"
 #include "src/storage/placement.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -29,27 +30,9 @@ namespace fs = std::filesystem;
 
 constexpr int64_t kChunkBytes = 4096;
 
-std::vector<char> Payload(const ChunkKey& key, int64_t bytes) {
-  std::vector<char> data(static_cast<size_t>(bytes));
-  for (int64_t i = 0; i < bytes; ++i) {
-    data[static_cast<size_t>(i)] = static_cast<char>(
-        (key.context_id * 193 + key.layer * 47 + key.chunk_index * 11 + i) & 0xff);
-  }
-  return data;
-}
-
-// A sealed v2 chunk (header + payload CRC): the form whose at-rest damage the CRC
-// path can actually detect. Raw Payload() blobs read back kOkUnverified by design,
-// so corruption-detection tests must write sealed chunks.
-std::vector<char> SealedPayload(const ChunkKey& key, int64_t rows, int64_t cols) {
-  std::vector<char> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));
-  for (size_t i = sizeof(ChunkHeader); i < chunk.size(); ++i) {
-    chunk[i] = static_cast<char>(
-        (key.context_id * 193 + key.layer * 47 + key.chunk_index * 11 + i) & 0xff);
-  }
-  WriteChunkHeader(ChunkCodec::kFp32, rows, cols, chunk.data());
-  return chunk;
+// Per-key salt: every key's sealed chunk has its own bytes.
+uint32_t Salt(const ChunkKey& key) {
+  return static_cast<uint32_t>(key.context_id * 193 + key.layer * 47 + key.chunk_index * 11);
 }
 
 std::vector<ChunkKey> Keys(int64_t ctx, int count) {
@@ -122,7 +105,7 @@ TEST(DistributedColdBackendTest, WritesReplicateToRNodes) {
   DistributedColdBackend dist(3, kChunkBytes, opts);
   const auto keys = Keys(1, 16);
   for (const auto& key : keys) {
-    const auto data = Payload(key, 1024);
+    const auto data = SealedChunkOfBytes(1024, Salt(key));
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1024));
   }
   int64_t physical = 0;
@@ -147,7 +130,7 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromADownPrimary) {
   opts.background_repair = false;
   DistributedColdBackend dist(3, kChunkBytes, opts);
   const ChunkKey key{1, 0, 0};
-  const auto data = Payload(key, 2000);
+  const auto data = SealedChunkOfBytes(2000, Salt(key));
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), 2000));
   const auto st = dist.CheckReplication(key);
   ASSERT_EQ(st.home.size(), 2u);
@@ -166,19 +149,23 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromADownPrimary) {
   EXPECT_EQ(dist.Stats().failover_reads, 1);
 }
 
-TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) {
+// Damages the primary's at-rest copy of a sealed chunk at `bit_offset`: the
+// verified read fails over to the clean replica with bit-identical bytes,
+// CheckReplication names the damaged copy, and repair restores R=2 healthy copies.
+void ExpectFailoverAndRepair(int64_t bit_offset) {
   DistributedColdOptions opts;
   opts.background_repair = false;
   DistributedColdBackend dist(3, kChunkBytes, opts);
   const ChunkKey key{2, 1, 3};
-  const auto data = SealedPayload(key, /*rows=*/16, /*cols=*/32);
+  const auto data = SealedChunk(/*rows=*/16, /*cols=*/32, Salt(key));
   const int64_t bytes = static_cast<int64_t>(data.size());
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), bytes));
   const auto home = dist.CheckReplication(key).home;
 
-  // Flip a payload bit in the primary's at-rest copy.
-  ASSERT_TRUE(dist.node_instrument(home[0])->CorruptChunk(
-      key, 8 * (sizeof(ChunkHeader) + 900)));
+  ASSERT_TRUE(dist.node_instrument(home[0])->CorruptChunk(key, bit_offset));
+  const auto damaged = dist.CheckReplication(key);
+  EXPECT_EQ(damaged.healthy_copies, 1);
+  EXPECT_EQ(damaged.corrupt_copies, 1);
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), bytes);
   EXPECT_EQ(std::memcmp(buf.data(), data.data(), static_cast<size_t>(bytes)), 0)
@@ -195,12 +182,21 @@ TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) 
   EXPECT_GT(dist.Stats().re_replicated_chunks, 0);
 }
 
+TEST(DistributedColdBackendTest, ReadsFailOverFromACorruptCopyAndRepairHealsIt) {
+  ExpectFailoverAndRepair(8 * (sizeof(ChunkHeader) + 900));  // a payload bit
+}
+
+TEST(DistributedColdBackendTest, ReadsFailOverFromAMagicFlippedCopyAndRepairHealsIt) {
+  // Bit 0 sits in the chunk magic: a copy without it is damage like any other.
+  ExpectFailoverAndRepair(0);
+}
+
 TEST(DistributedColdBackendTest, DoubleFailureIsADetectedMissNeverWrongBytes) {
   DistributedColdOptions opts;
   opts.background_repair = false;
   DistributedColdBackend dist(3, kChunkBytes, opts);
   const ChunkKey key{3, 0, 1};
-  const auto data = SealedPayload(key, /*rows=*/9, /*cols=*/32);
+  const auto data = SealedChunk(/*rows=*/9, /*cols=*/32, Salt(key));
   const int64_t bytes = static_cast<int64_t>(data.size());
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), bytes));
   const auto home = dist.CheckReplication(key).home;
@@ -240,7 +236,7 @@ TEST(DistributedColdBackendTest, DegradedWritesConvergeAfterNodeRecovery) {
 
   const auto keys = Keys(4, 12);
   for (const auto& key : keys) {
-    const auto data = Payload(key, 800);
+    const auto data = SealedChunkOfBytes(800, Salt(key));
     // One node left: every write succeeds degraded.
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 800));
   }
@@ -262,7 +258,7 @@ TEST(DistributedColdBackendTest, DegradedWritesConvergeAfterNodeRecovery) {
     EXPECT_TRUE(st.FullyReplicated()) << "chunk " << key.chunk_index;
     std::vector<char> buf(kChunkBytes);
     ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 800);
-    const auto want = Payload(key, 800);
+    const auto want = SealedChunkOfBytes(800, Salt(key));
     EXPECT_EQ(std::memcmp(buf.data(), want.data(), 800), 0);
   }
 }
@@ -270,9 +266,9 @@ TEST(DistributedColdBackendTest, DegradedWritesConvergeAfterNodeRecovery) {
 TEST(DistributedColdBackendTest, NodeKillMidWriteBatchDegradesButLosesNothing) {
   DistributedColdBackend dist(3, kChunkBytes);  // background repair ON
   const auto keys = Keys(5, 32);
-  std::vector<std::vector<char>> payloads;
+  std::vector<std::vector<uint8_t>> payloads;
   for (const auto& key : keys) {
-    payloads.push_back(Payload(key, 1024));
+    payloads.push_back(SealedChunkOfBytes(1024, Salt(key)));
   }
 
   // Fail-stop node 1 from INSIDE its own write batch: after two writes land, the
@@ -319,7 +315,7 @@ TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
   DistributedColdBackend dist(3, kChunkBytes);  // background repair ON
   const auto keys = Keys(6, 48);
   for (const auto& key : keys) {
-    const auto data = Payload(key, 1024);
+    const auto data = SealedChunkOfBytes(1024, Salt(key));
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1024));
   }
 
@@ -333,7 +329,7 @@ TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
       const ChunkKey& key = keys[i++ % keys.size()];
       const int64_t got = dist.ReadChunk(key, buf.data(), kChunkBytes);
       if (got != 1024 ||
-          std::memcmp(buf.data(), Payload(key, 1024).data(), 1024) != 0) {
+          std::memcmp(buf.data(), SealedChunkOfBytes(1024, Salt(key)).data(), 1024) != 0) {
         bad_reads.fetch_add(1);
       }
     }
@@ -342,7 +338,7 @@ TEST(DistributedColdBackendTest, DrainEvacuatesWhileServing) {
     int64_t c = 0;
     while (!stop.load(std::memory_order_acquire)) {
       const ChunkKey key{7, 0, c++ % 8};
-      const auto data = Payload(key, 512);
+      const auto data = SealedChunkOfBytes(512, Salt(key));
       dist.WriteChunk(key, data.data(), 512);
     }
   });
@@ -370,7 +366,7 @@ TEST(DistributedColdBackendTest, NodeKillDuringDrainStillConverges) {
   DistributedColdBackend dist(4, kChunkBytes);  // background repair ON
   const auto keys = Keys(8, 40);
   for (const auto& key : keys) {
-    const auto data = Payload(key, 900);
+    const auto data = SealedChunkOfBytes(900, Salt(key));
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 900));
   }
   // Kill node 2 from inside the drain's own repair traffic: the first repair
@@ -386,7 +382,7 @@ TEST(DistributedColdBackendTest, NodeKillDuringDrainStillConverges) {
   for (const auto& key : keys) {
     std::vector<char> buf(kChunkBytes);
     ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 900) << key.chunk_index;
-    const auto want = Payload(key, 900);
+    const auto want = SealedChunkOfBytes(900, Salt(key));
     ASSERT_EQ(std::memcmp(buf.data(), want.data(), 900), 0) << key.chunk_index;
   }
   ASSERT_TRUE(dist.SetNodeUp(2));
@@ -399,7 +395,7 @@ TEST(DistributedColdBackendTest, DrainRefusesTheLastNodeAndDownNodes) {
   opts.background_repair = false;
   DistributedColdBackend dist(2, kChunkBytes, opts);
   const ChunkKey key{1, 0, 0};
-  const auto data = Payload(key, 700);
+  const auto data = SealedChunkOfBytes(700, Salt(key));
   ASSERT_TRUE(dist.WriteChunk(key, data.data(), 700));
 
   EXPECT_FALSE(dist.Drain(5));  // unknown node
@@ -422,7 +418,7 @@ TEST(DistributedColdBackendTest, BalanceTrimsStraySpillCopies) {
   // With node 0 down, chunks homed on it spill to their next walk node.
   ASSERT_TRUE(dist.SetNodeDown(0));
   for (const auto& key : keys) {
-    const auto data = Payload(key, 1024);
+    const auto data = SealedChunkOfBytes(1024, Salt(key));
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1024));
   }
   ASSERT_TRUE(dist.SetNodeUp(0));
@@ -459,7 +455,7 @@ TEST(DistributedColdBackendTest, CapacityModelPlacesAroundFullNodes) {
   dist.set_node_capacity(0, 2048);
   const auto keys = Keys(10, 30);
   for (const auto& key : keys) {
-    const auto data = Payload(key, 1024);
+    const auto data = SealedChunkOfBytes(1024, Salt(key));
     ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1024));
   }
   EXPECT_LE(dist.node_store(0)->Stats().bytes_stored, 2048);
@@ -493,7 +489,7 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
   {
     DistributedColdBackend dist(3, kChunkBytes, opts, factory);
     for (const auto& key : keys) {
-      const auto data = Payload(key, 1300);
+      const auto data = SealedChunkOfBytes(1300, Salt(key));
       ASSERT_TRUE(dist.WriteChunk(key, data.data(), 1300));
     }
   }
@@ -508,7 +504,7 @@ TEST(DistributedColdBackendTest, RecoversLogicalIndexFromFileBackendNodes) {
       EXPECT_EQ(dist.ChunkSize(key), 1300);
       std::vector<char> buf(kChunkBytes);
       ASSERT_EQ(dist.ReadChunk(key, buf.data(), kChunkBytes), 1300);
-      const auto want = Payload(key, 1300);
+      const auto want = SealedChunkOfBytes(1300, Salt(key));
       EXPECT_EQ(std::memcmp(buf.data(), want.data(), 1300), 0);
       EXPECT_TRUE(dist.CheckReplication(key).FullyReplicated());
     }

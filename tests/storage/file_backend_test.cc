@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <vector>
 
+#include "tests/storage/sealed_chunk.h"
+
 namespace hcache {
 namespace {
 
@@ -37,11 +39,9 @@ class FileBackendTest : public ::testing::Test {
   std::vector<std::filesystem::path> dirs_;
 };
 
-std::vector<char> Payload(int64_t size, char fill) { return std::vector<char>(size, fill); }
-
 TEST_F(FileBackendTest, WriteReadRoundTrip) {
   FileBackend store(DirStrings(), 4096);
-  const auto data = Payload(1000, 'x');
+  const auto data = SealedChunkOfBytes(1000, 'x');
   ASSERT_TRUE(store.WriteChunk({1, 0, 0}, data.data(), 1000));
   std::vector<char> buf(4096);
   EXPECT_EQ(store.ReadChunk({1, 0, 0}, buf.data(), 4096), 1000);
@@ -58,7 +58,7 @@ TEST_F(FileBackendTest, MissingChunkReturnsMinusOne) {
 
 TEST_F(FileBackendTest, SmallBufferRejected) {
   FileBackend store(DirStrings(), 4096);
-  const auto data = Payload(1000, 'y');
+  const auto data = SealedChunkOfBytes(1000, 'y');
   ASSERT_TRUE(store.WriteChunk({1, 0, 0}, data.data(), 1000));
   std::vector<char> buf(10);
   EXPECT_EQ(store.ReadChunk({1, 0, 0}, buf.data(), 10), -1);
@@ -66,13 +66,13 @@ TEST_F(FileBackendTest, SmallBufferRejected) {
 
 TEST_F(FileBackendTest, OverwriteReplacesContent) {
   FileBackend store(DirStrings(), 4096);
-  const auto a = Payload(100, 'a');
-  const auto b = Payload(50, 'b');
+  const auto a = SealedChunkOfBytes(100, 'a');
+  const auto b = SealedChunkOfBytes(60, 'b');
   ASSERT_TRUE(store.WriteChunk({1, 2, 3}, a.data(), 100));
-  ASSERT_TRUE(store.WriteChunk({1, 2, 3}, b.data(), 50));
+  ASSERT_TRUE(store.WriteChunk({1, 2, 3}, b.data(), 60));
   std::vector<char> buf(4096);
-  EXPECT_EQ(store.ReadChunk({1, 2, 3}, buf.data(), 4096), 50);
-  EXPECT_EQ(buf[0], 'b');
+  EXPECT_EQ(store.ReadChunk({1, 2, 3}, buf.data(), 4096), 60);
+  EXPECT_EQ(std::memcmp(buf.data(), b.data(), 60), 0);
   EXPECT_EQ(store.chunks_stored(), 1);
 }
 
@@ -84,9 +84,9 @@ TEST_F(FileBackendTest, RoundRobinStriping) {
   EXPECT_EQ(store.DeviceOf({1, 0, 3}), 0);
   // Consecutive chunks of one layer land on different devices (bandwidth aggregation),
   // under the context's own subdirectory on each device.
-  const auto d = Payload(10, 'd');
+  const auto d = SealedChunkOfBytes(32, 'd');
   for (int64_t c = 0; c < 6; ++c) {
-    ASSERT_TRUE(store.WriteChunk({7, 0, c}, d.data(), 10));
+    ASSERT_TRUE(store.WriteChunk({7, 0, c}, d.data(), 32));
   }
   for (int dev = 0; dev < 3; ++dev) {
     EXPECT_EQ(CountEntries(dirs_[dev] / "ctx7"), 2) << "device " << dev;
@@ -95,10 +95,10 @@ TEST_F(FileBackendTest, RoundRobinStriping) {
 
 TEST_F(FileBackendTest, DeleteContextRemovesOnlyThatContext) {
   FileBackend store(DirStrings(), 4096);
-  const auto d = Payload(10, 'd');
+  const auto d = SealedChunkOfBytes(32, 'd');
   for (int64_t c = 0; c < 4; ++c) {
-    ASSERT_TRUE(store.WriteChunk({1, 0, c}, d.data(), 10));
-    ASSERT_TRUE(store.WriteChunk({2, 0, c}, d.data(), 10));
+    ASSERT_TRUE(store.WriteChunk({1, 0, c}, d.data(), 32));
+    ASSERT_TRUE(store.WriteChunk({2, 0, c}, d.data(), 32));
   }
   store.DeleteContext(1);
   EXPECT_FALSE(store.HasChunk({1, 0, 0}));
@@ -109,10 +109,10 @@ TEST_F(FileBackendTest, DeleteContextRemovesOnlyThatContext) {
 TEST_F(FileBackendTest, DeleteContextUnlinksPerContextDirs) {
   // Long serving runs must not leak one empty directory per dead context per device.
   FileBackend store(DirStrings(), 4096);
-  const auto d = Payload(10, 'd');
+  const auto d = SealedChunkOfBytes(32, 'd');
   for (int64_t ctx = 1; ctx <= 3; ++ctx) {
     for (int64_t c = 0; c < 3; ++c) {
-      ASSERT_TRUE(store.WriteChunk({ctx, 0, c}, d.data(), 10));
+      ASSERT_TRUE(store.WriteChunk({ctx, 0, c}, d.data(), 32));
     }
   }
   for (int dev = 0; dev < 3; ++dev) {
@@ -129,15 +129,16 @@ TEST_F(FileBackendTest, DeleteContextUnlinksPerContextDirs) {
     EXPECT_EQ(CountEntries(dirs_[dev]), 0) << "device " << dev;
   }
   // A deleted context can be written again (its directories are recreated).
-  ASSERT_TRUE(store.WriteChunk({2, 0, 0}, d.data(), 10));
+  ASSERT_TRUE(store.WriteChunk({2, 0, 0}, d.data(), 32));
   EXPECT_TRUE(store.HasChunk({2, 0, 0}));
 }
 
 TEST_F(FileBackendTest, StatsTrackWritesAndBytes) {
   FileBackend store(DirStrings(), 4096);
-  const auto d = Payload(100, 'd');
+  const auto d = SealedChunkOfBytes(100, 'd');
+  const auto e = SealedChunkOfBytes(60, 'e');
   ASSERT_TRUE(store.WriteChunk({1, 0, 0}, d.data(), 100));
-  ASSERT_TRUE(store.WriteChunk({1, 0, 1}, d.data(), 60));
+  ASSERT_TRUE(store.WriteChunk({1, 0, 1}, e.data(), 60));
   EXPECT_EQ(store.total_writes(), 2);
   EXPECT_EQ(store.bytes_stored(), 160);
   std::vector<char> buf(4096);

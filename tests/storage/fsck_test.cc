@@ -17,6 +17,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -24,13 +25,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr int64_t kChunkBytes = 64 * 1024;
-
-std::vector<uint8_t> SealedChunk(int64_t rows, int64_t cols, uint8_t fill) {
-  std::vector<uint8_t> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)), fill);
-  WriteChunkHeader(ChunkCodec::kFp32, rows, cols, chunk.data());
-  return chunk;
-}
 
 class FsckTest : public ::testing::Test {
  protected:
@@ -51,11 +45,11 @@ TEST_F(FsckTest, ClassifiesEveryDamageClass) {
 
   const auto sealed = SealedChunk(8, 16, 0x11);
   const int64_t bytes = static_cast<int64_t>(sealed.size());
-  // Two clean, one opaque, one corrupt (payload flip), one partial (torn tail).
+  // Two clean, two corrupt (a magic flip, a payload flip), one partial (torn tail).
   ASSERT_TRUE(backend.WriteChunk({1, 0, 0}, sealed.data(), bytes));
   ASSERT_TRUE(backend.WriteChunk({1, 1, 0}, sealed.data(), bytes));
-  std::vector<char> blob(256, 'o');
-  ASSERT_TRUE(backend.WriteChunk({2, 0, 0}, blob.data(), 256));
+  ASSERT_TRUE(backend.WriteChunk({2, 0, 0}, sealed.data(), bytes));
+  ASSERT_TRUE(chaos.CorruptChunk({2, 0, 0}, /*bit_offset=*/0));
   ASSERT_TRUE(backend.WriteChunk({3, 0, 0}, sealed.data(), bytes));
   ASSERT_TRUE(chaos.CorruptChunk({3, 0, 0}, 8 * (sizeof(ChunkHeader) + 7) + 2));
   ASSERT_TRUE(backend.WriteChunk({4, 0, 0}, sealed.data(), bytes));
@@ -64,19 +58,20 @@ TEST_F(FsckTest, ClassifiesEveryDamageClass) {
   const FsckReport before = RunFsck(&backend);
   EXPECT_EQ(before.chunks_scanned, 5);
   EXPECT_EQ(before.clean, 2);
-  EXPECT_EQ(before.unverified, 1);
-  EXPECT_EQ(before.corrupt, 1);
+  EXPECT_EQ(before.corrupt, 2);
   EXPECT_EQ(before.partial, 1);
   EXPECT_EQ(before.orphaned_temp_files, 0);
   EXPECT_EQ(before.repaired, 0);
   EXPECT_FALSE(before.Healthy());
-  // Findings list damage only (clean and unverified chunks are counted, not listed).
-  ASSERT_EQ(before.findings.size(), 2u);
+  // Findings list damage only (clean chunks are counted, not listed).
+  ASSERT_EQ(before.findings.size(), 3u);
   for (const FsckFinding& f : before.findings) {
     EXPECT_FALSE(f.repaired);
-    if (f.klass == FsckClass::kCorrupt) {
+    if (f.klass == FsckClass::kCorrupt && f.key.context_id == 2) {
+      EXPECT_NE(f.detail.find("no chunk magic"), std::string::npos) << f.detail;
+    } else if (f.klass == FsckClass::kCorrupt) {
       EXPECT_EQ(f.key.context_id, 3);
-      EXPECT_NE(f.detail.find("CRC"), std::string::npos) << f.detail;
+      EXPECT_NE(f.detail.find("payload CRC"), std::string::npos) << f.detail;
     } else {
       EXPECT_EQ(f.klass, FsckClass::kPartial);
       EXPECT_EQ(f.key.context_id, 4);
@@ -84,17 +79,19 @@ TEST_F(FsckTest, ClassifiesEveryDamageClass) {
     }
   }
   // Report-only: nothing was touched.
+  EXPECT_TRUE(backend.HasChunk({2, 0, 0}));
   EXPECT_TRUE(backend.HasChunk({3, 0, 0}));
   EXPECT_TRUE(backend.HasChunk({4, 0, 0}));
 }
 
-TEST_F(FsckTest, RepairQuarantinesDamageAndSparesUnverified) {
+TEST_F(FsckTest, RepairQuarantinesDamageAndSparesClean) {
   MemoryBackend backend(kChunkBytes);
   InstrumentedBackend chaos(&backend);
   const auto sealed = SealedChunk(8, 16, 0x22);
   const int64_t bytes = static_cast<int64_t>(sealed.size());
   ASSERT_TRUE(backend.WriteChunk({1, 0, 0}, sealed.data(), bytes));
-  std::vector<char> blob(128, 'u');
+  // Headerless bytes (no chunk magic): a bad header, so quarantined like damage.
+  const std::vector<char> blob(128, 'u');
   ASSERT_TRUE(backend.WriteChunk({2, 0, 0}, blob.data(), 128));
   ASSERT_TRUE(backend.WriteChunk({3, 0, 0}, sealed.data(), bytes));
   ASSERT_TRUE(chaos.CorruptChunk({3, 0, 0}, 8 * sizeof(ChunkHeader)));
@@ -104,24 +101,23 @@ TEST_F(FsckTest, RepairQuarantinesDamageAndSparesUnverified) {
   FsckOptions repair;
   repair.repair = true;
   const FsckReport r = RunFsck(&backend, repair);
-  EXPECT_EQ(r.repaired, 2);
+  EXPECT_EQ(r.repaired, 3);
   for (const FsckFinding& f : r.findings) {
     EXPECT_TRUE(f.repaired);
   }
   // Quarantine turns detected-corrupt (-2) into an ordinary miss (-1): the restore
   // path recomputes instead of tripping a CRC failure on every read.
   std::vector<char> buf(static_cast<size_t>(bytes));
+  EXPECT_EQ(backend.ReadChunk({2, 0, 0}, buf.data(), bytes), -1);
   EXPECT_EQ(backend.ReadChunk({3, 0, 0}, buf.data(), bytes), -1);
   EXPECT_EQ(backend.ReadChunk({4, 0, 0}, buf.data(), bytes), -1);
-  // Clean and unverified chunks survive repair untouched.
+  // The clean chunk survives repair untouched.
   EXPECT_EQ(backend.ReadChunk({1, 0, 0}, buf.data(), bytes), bytes);
-  EXPECT_EQ(backend.ReadChunk({2, 0, 0}, buf.data(), 128), 128);
 
   const FsckReport after = RunFsck(&backend);
   EXPECT_TRUE(after.Healthy());
-  EXPECT_EQ(after.chunks_scanned, 2);
+  EXPECT_EQ(after.chunks_scanned, 1);
   EXPECT_EQ(after.clean, 1);
-  EXPECT_EQ(after.unverified, 1);
 }
 
 TEST_F(FsckTest, SweepsOrphanedTempFilesUnderScanDirs) {
@@ -228,6 +224,39 @@ TEST_F(FsckTest, DistributedScanFindsAndRepairsUnderReplication) {
   }
 }
 
+TEST_F(FsckTest, DistributedRepairHealsAMagicFlippedCopy) {
+  // A home copy whose chunk magic lost a bit is corrupt, not an unchecked blob:
+  // the scan counts it, the replication audit reports the chunk under-replicated,
+  // and --repair re-replicates it from the clean copy.
+  DistributedColdOptions opts;
+  opts.background_repair = false;
+  DistributedColdBackend dist(3, kChunkBytes, opts);
+  const ChunkKey key{1, 0, 0};
+  const auto sealed = SealedChunk(8, 16, 0x66);
+  const int64_t bytes = static_cast<int64_t>(sealed.size());
+  ASSERT_TRUE(dist.WriteChunk(key, sealed.data(), bytes));
+  const auto home = dist.CheckReplication(key).home;
+  ASSERT_TRUE(dist.node_instrument(home[0])->CorruptChunk(key, /*bit_offset=*/0));
+
+  const FsckReport before = RunFsck(&dist);
+  EXPECT_EQ(before.corrupt, 1);
+  EXPECT_EQ(before.under_replicated, 1);
+  EXPECT_FALSE(before.Healthy());
+
+  FsckOptions repair;
+  repair.repair = true;
+  const FsckReport fixed = RunFsck(&dist, repair);
+  EXPECT_EQ(fixed.repaired, 2);  // the quarantined copy + one re-replication
+  EXPECT_TRUE(RunFsck(&dist).Healthy());
+  const auto st = dist.CheckReplication(key);
+  EXPECT_TRUE(st.FullyReplicated());
+  EXPECT_EQ(st.healthy_copies, 2);
+  std::vector<uint8_t> buf(static_cast<size_t>(bytes));
+  ASSERT_EQ(dist.ReadChunk(key, buf.data(), bytes), bytes);
+  EXPECT_EQ(buf, sealed);
+  EXPECT_EQ(dist.Stats().failover_reads, 0) << "the repaired primary serves again";
+}
+
 TEST_F(FsckTest, DedupScanAuditsRefcountInvariantAndRepairs) {
   MemoryBackend phys(kChunkBytes);
   DedupBackend dedup(&phys);
@@ -247,7 +276,7 @@ TEST_F(FsckTest, DedupScanAuditsRefcountInvariantAndRepairs) {
 
   // Orphan: unreferenced bytes in the physical store. Missing: the shared
   // chunk's bytes vanish behind the index's back.
-  ASSERT_TRUE(phys.WriteChunk({77, 77, 77}, solo.data(), 256));
+  ASSERT_TRUE(phys.WriteChunk({77, 77, 77}, solo.data(), bytes));
   ChunkKey shared_key{};
   for (const auto& [pkey, psize] : dedup.ListPhysicalChunks()) {
     std::vector<uint8_t> tmp(static_cast<size_t>(psize));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/storage/memory_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -89,10 +90,7 @@ TEST(InstrumentedJitterTest, JitterNeverAffectsStoredBytes) {
   wrapped.set_io_latency_micros(1);
   wrapped.set_io_latency_jitter(/*jitter_micros=*/1, /*seed=*/0xfeed);
 
-  std::vector<char> data(kChunkBytes);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>(i * 31 + 7);
-  }
+  const auto data = SealedChunkOfBytes(kChunkBytes, 7);
   const ChunkKey key{1, 0, 0};
   ASSERT_TRUE(wrapped.WriteChunk(key, data.data(), kChunkBytes));
   std::vector<char> back(kChunkBytes);

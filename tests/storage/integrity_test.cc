@@ -1,5 +1,5 @@
 // The durability plane's integrity primitives: CRC32C kernel correctness across
-// SIMD tiers, v2 header sealing, VerifyChunkBytes' three-way verdict — the contract
+// SIMD tiers, v2 header sealing, VerifyChunkBytes' two-way verdict — the contract
 // every backend's verified read path is built on — and the rejection of retired
 // format versions.
 #include "src/storage/integrity.h"
@@ -20,6 +20,7 @@
 #include "src/storage/fsck.h"
 #include "src/storage/layout.h"
 #include "src/storage/memory_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -97,27 +98,8 @@ TEST(Crc32cTest, KernelStateChainsAcrossSplits) {
   }
 }
 
-// A sealed v2 chunk: `rows` x `cols` FP32 payload with deterministic contents.
-std::vector<uint8_t> MakeChunk(int64_t rows, int64_t cols, uint32_t seed = 1) {
-  std::vector<uint8_t> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, rows, cols)));
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
-  std::vector<float> row(static_cast<size_t>(cols));
-  for (int64_t r = 0; r < rows; ++r) {
-    for (auto& v : row) {
-      v = dist(rng);
-    }
-    EncodeRowsInto(ChunkCodec::kFp32, row.data(), cols, 1, cols,
-                   chunk.data() + sizeof(ChunkHeader) +
-                       r * CodecRowBytes(ChunkCodec::kFp32, cols));
-  }
-  WriteChunkHeader(ChunkCodec::kFp32, rows, cols, chunk.data());
-  return chunk;
-}
-
 TEST(VerifyChunkBytesTest, SealedV2ChunkVerifies) {
-  const auto chunk = MakeChunk(16, 32);
+  const auto chunk = SealedChunk(16, 32, 1);
   const int64_t bytes = static_cast<int64_t>(chunk.size());
 
   ChunkInfo info;
@@ -134,7 +116,7 @@ TEST(VerifyChunkBytesTest, SealedV2ChunkVerifies) {
 
 TEST(VerifyChunkBytesTest, EveryPayloadBitFlipIsDetectedOnASmallChunk) {
   // Exhaustive over a small chunk: CRC32C catches ALL single-bit payload flips.
-  const auto clean = MakeChunk(2, 4);
+  const auto clean = SealedChunk(2, 4, 1);
   const int64_t bytes = static_cast<int64_t>(clean.size());
   for (size_t byte = sizeof(ChunkHeader); byte < clean.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -147,7 +129,7 @@ TEST(VerifyChunkBytesTest, EveryPayloadBitFlipIsDetectedOnASmallChunk) {
 }
 
 TEST(VerifyChunkBytesTest, HeaderFieldFlipIsDetectedByHeaderCrc) {
-  const auto clean = MakeChunk(16, 32);
+  const auto clean = SealedChunk(16, 32, 1);
   const int64_t bytes = static_cast<int64_t>(clean.size());
   // Flip bits across the descriptor fields (version/codec/rows/cols) and the stored
   // payload CRC itself — the header CRC covers all of them.
@@ -160,7 +142,7 @@ TEST(VerifyChunkBytesTest, HeaderFieldFlipIsDetectedByHeaderCrc) {
 }
 
 TEST(VerifyChunkBytesTest, TruncationIsDetected) {
-  const auto chunk = MakeChunk(16, 32);
+  const auto chunk = SealedChunk(16, 32, 1);
   for (const int64_t keep : {static_cast<int64_t>(chunk.size()) - 1,
                              static_cast<int64_t>(chunk.size()) / 2,
                              static_cast<int64_t>(sizeof(ChunkHeader)), int64_t{16},
@@ -170,17 +152,26 @@ TEST(VerifyChunkBytesTest, TruncationIsDetected) {
   }
 }
 
-TEST(VerifyChunkBytesTest, OpaqueBytesStayUnverified) {
-  // No magic -> not a format claim -> never "corrupt" (the serving plane stores
-  // opaque descriptor blobs through the same backends).
+TEST(VerifyChunkBytesTest, NoMagicIsCorrupt) {
+  // Every stored chunk is sealed, so bytes without the chunk magic are damage — a
+  // flipped magic bit reads exactly like this — on both verification entry points.
   std::vector<uint8_t> blob(512, 0xAB);
-  EXPECT_EQ(VerifyChunkBytes(blob.data(), 512, nullptr), ChunkVerdict::kOkUnverified);
-  // So are headerless FP32 rows (the retired v0 format): backends pass them
-  // through as opaque, and the decode path refuses them (codec_test).
+  std::vector<uint8_t> dst(512);
+  int64_t checked = -1;
+  EXPECT_EQ(VerifyChunkBytes(blob.data(), 512, &checked), ChunkVerdict::kCorrupt);
+  EXPECT_EQ(checked, 0);
+  EXPECT_EQ(VerifyAndCopyChunk(blob.data(), 512, dst.data(), &checked),
+            ChunkVerdict::kCorrupt);
+  EXPECT_EQ(checked, 0);
+  // So are headerless FP32 rows (the retired v0 format) and empty input.
   std::vector<float> legacy(64, 1.5f);
-  EXPECT_EQ(VerifyChunkBytes(legacy.data(), 64 * 4, nullptr),
-            ChunkVerdict::kOkUnverified);
-  EXPECT_EQ(VerifyChunkBytes(nullptr, 0, nullptr), ChunkVerdict::kOkUnverified);
+  EXPECT_EQ(VerifyChunkBytes(legacy.data(), 64 * 4, nullptr), ChunkVerdict::kCorrupt);
+  EXPECT_EQ(VerifyChunkBytes(nullptr, 0, nullptr), ChunkVerdict::kCorrupt);
+  // A sealed chunk with bit 0 (inside the magic) flipped.
+  auto flipped = SealedChunk(16, 32, 1);
+  flipped[0] ^= 0x01;
+  EXPECT_EQ(VerifyChunkBytes(flipped.data(), static_cast<int64_t>(flipped.size()), nullptr),
+            ChunkVerdict::kCorrupt);
 }
 
 TEST(VerifyChunkBytesTest, V1HeaderIsRejectedAsCorrupt) {
@@ -226,7 +217,6 @@ TEST(VerifyChunkBytesTest, V1HeaderIsRejectedAsCorrupt) {
       EXPECT_EQ(report.chunks_scanned, 2);
       EXPECT_EQ(report.corrupt, 1);
       EXPECT_EQ(report.partial, 1);
-      EXPECT_EQ(report.unverified, 0);
       EXPECT_EQ(report.clean, 0);
     }
   }
@@ -235,7 +225,7 @@ TEST(VerifyChunkBytesTest, V1HeaderIsRejectedAsCorrupt) {
 
 TEST(VerifyChunkBytesTest, VerdictStableAcrossSimdTiers) {
   TierGuard guard;
-  const auto clean = MakeChunk(16, 32);
+  const auto clean = SealedChunk(16, 32, 1);
   auto corrupt = clean;
   corrupt[sizeof(ChunkHeader) + 17] ^= 0x04;
   for (int t = 0; t <= static_cast<int>(DetectedSimdTier()); ++t) {

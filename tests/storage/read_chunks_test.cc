@@ -21,6 +21,7 @@
 #include "src/storage/memory_backend.h"
 #include "src/storage/storage_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -29,25 +30,9 @@ namespace fs = std::filesystem;
 
 constexpr int64_t kChunkBytes = 4096;
 
-std::vector<char> Payload(const ChunkKey& key, int64_t bytes) {
-  std::vector<char> data(static_cast<size_t>(bytes));
-  for (int64_t i = 0; i < bytes; ++i) {
-    data[static_cast<size_t>(i)] = static_cast<char>(
-        (key.context_id * 131 + key.layer * 31 + key.chunk_index * 7 + i) & 0xff);
-  }
-  return data;
-}
-
-// A sealed v2 chunk (payload CRC in its header), so at-rest damage is detectable.
-std::vector<uint8_t> SealedChunk(uint8_t salt) {
-  constexpr int64_t kRows = 4, kCols = 32;
-  std::vector<uint8_t> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, kRows, kCols)));
-  for (size_t i = sizeof(ChunkHeader); i < chunk.size(); ++i) {
-    chunk[i] = static_cast<uint8_t>(salt + i * 13);
-  }
-  WriteChunkHeader(ChunkCodec::kFp32, kRows, kCols, chunk.data());
-  return chunk;
+// Per-key salt: every key's sealed chunk has its own bytes.
+uint32_t Salt(const ChunkKey& key) {
+  return static_cast<uint32_t>(key.context_id * 131 + key.layer * 31 + key.chunk_index * 7);
 }
 
 // Flips a payload bit of a sealed chunk at rest.
@@ -173,7 +158,7 @@ TEST(ReadChunksTest, BatchMatchesSerialReadsOnEveryBackend) {
     SCOPED_TRACE(f->name);
     const auto set = WorkingSet();
     for (const auto& [key, bytes] : set) {
-      const auto data = Payload(key, bytes);
+      const auto data = SealedChunkOfBytes(bytes, Salt(key));
       ASSERT_TRUE(f->backend->WriteChunk(key, data.data(), bytes));
     }
     // Serial reference pass on a twin set of buffers.
@@ -204,14 +189,52 @@ TEST(ReadChunksTest, BatchMatchesSerialReadsOnEveryBackend) {
   }
 }
 
+TEST(ReadChunksTest, MagicFlipReadsCorruptOnEveryBackend) {
+  // Bit 0 of a sealed chunk sits in the chunk magic. Bytes without the magic are
+  // damage like any other: every verified read reports kChunkCorrupt and counts no
+  // read bytes, single or batched, and a tiered stack never promotes them.
+  for (const auto& f : MakeFixtures("magic_flip")) {
+    SCOPED_TRACE(f->name);
+    const ChunkKey key{5, 0, 0};
+    auto flipped = SealedChunk(4, 32, Salt(key));
+    flipped[0] ^= 0x01;
+    const auto bytes = static_cast<int64_t>(flipped.size());
+    ASSERT_TRUE(f->backend->WriteChunk(key, flipped.data(), bytes));
+    // DRAM bytes are trusted, so push the chunk to a tiered stack's cold tier (the
+    // tier that models media damage) with a DRAM budget's worth of other context.
+    const auto filler = SealedChunkOfBytes(kChunkBytes, 'f');
+    for (int64_t c = 0; c < 5; ++c) {
+      ASSERT_TRUE(f->backend->WriteChunk(ChunkKey{6, 0, c}, filler.data(), kChunkBytes));
+    }
+    f->backend->Quiesce();
+    const auto* tiered = dynamic_cast<const TieredBackend*>(f->backend);
+    if (tiered != nullptr) {
+      ASSERT_FALSE(tiered->IsDramResident(key));
+    }
+    const StorageStats before = f->backend->Stats();
+
+    std::vector<char> buf(kChunkBytes);
+    EXPECT_EQ(kChunkCorrupt, f->backend->ReadChunk(key, buf.data(), kChunkBytes));
+    ChunkReadRequest req{key, buf.data(), kChunkBytes, -7};
+    f->backend->ReadChunks({&req, 1});
+    EXPECT_EQ(kChunkCorrupt, req.result);
+    const StorageStats after = f->backend->Stats();
+    EXPECT_EQ(before.total_reads, after.total_reads);
+    EXPECT_EQ(before.ReadBytes(), after.ReadBytes());
+    if (tiered != nullptr) {
+      EXPECT_FALSE(tiered->IsDramResident(key)) << "damaged bytes promoted";
+    }
+  }
+}
+
 TEST(ReadChunksTest, PerRequestFailuresDoNotPoisonTheBatch) {
   for (const auto& f : MakeFixtures("partial")) {
     SCOPED_TRACE(f->name);
     const ChunkKey present{1, 0, 0};
     const ChunkKey absent{1, 0, 9};
     const ChunkKey big{2, 0, 0};
-    const auto present_data = Payload(present, 1024);
-    const auto big_data = Payload(big, 2048);
+    const auto present_data = SealedChunkOfBytes(1024, Salt(present));
+    const auto big_data = SealedChunkOfBytes(2048, Salt(big));
     ASSERT_TRUE(f->backend->WriteChunk(present, present_data.data(), 1024));
     ASSERT_TRUE(f->backend->WriteChunk(big, big_data.data(), 2048));
     f->backend->Quiesce();
@@ -266,7 +289,7 @@ TEST(ReadChunksTest, StatsConservationAcrossHotAndColdTiers) {
     for (int64_t ctx = 1; ctx <= 2; ++ctx) {
       for (int64_t c = 0; c < 3; ++c) {
         const ChunkKey key{ctx, 0, c};
-        const auto data = Payload(key, kChunkBytes);
+        const auto data = SealedChunkOfBytes(kChunkBytes, Salt(key));
         ASSERT_TRUE(tiered.WriteChunk(key, data.data(), kChunkBytes));
       }
     }
@@ -288,7 +311,7 @@ TEST(ReadChunksTest, StatsConservationAcrossHotAndColdTiers) {
     const StorageStats after = tiered.Stats();
     for (size_t i = 0; i < reqs.size(); ++i) {
       ASSERT_EQ(kChunkBytes, reqs[i].result) << i;
-      const auto want = Payload(reqs[i].key, kChunkBytes);
+      const auto want = SealedChunkOfBytes(kChunkBytes, Salt(reqs[i].key));
       ASSERT_EQ(0, std::memcmp(bufs[i].data(), want.data(),
                                static_cast<size_t>(kChunkBytes)))
           << i;
@@ -313,7 +336,7 @@ TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   std::vector<ChunkKey> keys;
   for (int64_t c = 0; c < 8; ++c) {
     const ChunkKey key{1, 0, c};
-    const auto data = Payload(key, 512);
+    const auto data = SealedChunkOfBytes(512, Salt(key));
     ASSERT_TRUE(tiered.WriteChunk(key, data.data(), 512));
     keys.push_back(key);
   }
@@ -336,7 +359,7 @@ TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   // deliver the damaged bytes (fsck's view) without being promoted.
   std::vector<std::vector<uint8_t>> sealed;
   for (int64_t c = 0; c < 8; ++c) {
-    sealed.push_back(SealedChunk(static_cast<uint8_t>(c)));
+    sealed.push_back(SealedChunk(4, 32, static_cast<uint32_t>(c)));
     ASSERT_TRUE(tiered.WriteChunk(ChunkKey{2, 0, c}, sealed.back().data(),
                                   static_cast<int64_t>(sealed.back().size())));
   }
@@ -368,7 +391,7 @@ TEST(ReadChunksTest, TieredBatchMakesOneColdRoundTrip) {
   MemoryBackend warm_mem(kChunkBytes);
   InstrumentedBackend warm_cold(&warm_mem);
   TieredBackend warm(&warm_cold, 4 * kChunkBytes, opts);
-  const std::vector<char> pad(kChunkBytes, 'p');
+  const auto pad = SealedChunkOfBytes(kChunkBytes, 'p');
   ASSERT_TRUE(warm.WriteChunk(ChunkKey{1, 0, 0}, sealed[0].data(),
                               static_cast<int64_t>(sealed[0].size())));
   ASSERT_TRUE(warm.WriteChunk(ChunkKey{1, 0, 1}, sealed[1].data(),
@@ -397,7 +420,7 @@ TEST(ReadChunksTest, InstrumentedForwardsBatchAndInjectsFailuresPerRequest) {
   const ChunkKey k1{1, 0, 0};
   const ChunkKey k2{1, 0, 1};
   const ChunkKey k3{1, 0, 2};
-  const auto d1 = Payload(k1, 700);
+  const auto d1 = SealedChunkOfBytes(700, Salt(k1));
   ChunkWriteRequest writes[] = {
       {k1, d1.data(), 700, false},
       {k2, d1.data(), 700, false},
@@ -447,7 +470,7 @@ TEST(ReadChunksTest, FileBackendConcurrentReadsOfSameChunkAreRaceFree) {
   {
     FileBackend file({(dir / "d0").string()}, kChunkBytes);
     const ChunkKey key{7, 3, 1};
-    const auto data = Payload(key, kChunkBytes);
+    const auto data = SealedChunkOfBytes(kChunkBytes, Salt(key));
     ASSERT_TRUE(file.WriteChunk(key, data.data(), kChunkBytes));
     constexpr int kThreads = 4;
     constexpr int kIters = 200;
@@ -491,12 +514,12 @@ TEST(ReadChunksTest, FileBackendFdCacheSurvivesOverwriteAndDelete) {
   {
     FileBackend file({(dir / "d0").string()}, kChunkBytes);
     const ChunkKey key{1, 0, 0};
-    const auto v1 = Payload(key, 512);
+    const auto v1 = SealedChunkOfBytes(512, Salt(key));
     ASSERT_TRUE(file.WriteChunk(key, v1.data(), 512));
     std::vector<char> buf(kChunkBytes);
     ASSERT_EQ(512, file.ReadChunk(key, buf.data(), kChunkBytes));  // fd now cached
     // Overwrite with different bytes; the next read must observe them.
-    const auto v2 = Payload(ChunkKey{9, 9, 9}, 640);
+    const auto v2 = SealedChunkOfBytes(640, Salt(ChunkKey{9, 9, 9}));
     ASSERT_TRUE(file.WriteChunk(key, v2.data(), 640));
     ASSERT_EQ(640, file.ReadChunk(key, buf.data(), kChunkBytes));
     EXPECT_EQ(0, std::memcmp(buf.data(), v2.data(), 640));
@@ -551,7 +574,7 @@ TEST(ReadChunksTest, SingleChunkCallsAreBatchesOfOne) {
   BatchOnly backend(&mem);
 
   const ChunkKey key{1, 0, 0};
-  const auto sealed = SealedChunk(9);
+  const auto sealed = SealedChunk(4, 32, 9);
   const int64_t bytes = static_cast<int64_t>(sealed.size());
   ASSERT_TRUE(backend.WriteChunk(key, sealed.data(), bytes));
   EXPECT_EQ((std::vector<size_t>{1}), backend.write_sizes);

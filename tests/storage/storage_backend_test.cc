@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -33,9 +35,12 @@ struct BackendFixture {
 class StorageBackendTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
+    // A parameterized test's name ends in "/<param>": flatten it, so base_ is one
+    // directory and TearDown's remove_all takes all of it.
+    std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(test.begin(), test.end(), '/', '_');
     base_ = std::filesystem::temp_directory_path() /
-            ("hcache_backend_" + std::to_string(::getpid()) + "_" + GetParam() + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+            ("hcache_backend_" + std::to_string(::getpid()) + "_" + test);
     const std::vector<std::string> dirs = {(base_ / "d0").string(), (base_ / "d1").string()};
     if (GetParam() == "file") {
       fx_.backend = std::make_unique<FileBackend>(dirs, kChunkBytes);
@@ -79,10 +84,8 @@ class StorageBackendTest : public ::testing::TestWithParam<std::string> {
   BackendFixture fx_;
 };
 
-std::vector<char> Payload(int64_t size, char fill) { return std::vector<char>(size, fill); }
-
 TEST_P(StorageBackendTest, WriteReadRoundTrip) {
-  const auto data = Payload(1000, 'x');
+  const auto data = SealedChunkOfBytes(1000, 'x');
   ASSERT_TRUE(backend().WriteChunk({1, 0, 0}, data.data(), 1000));
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(backend().ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), 1000);
@@ -99,7 +102,7 @@ TEST_P(StorageBackendTest, MissingChunkReturnsMinusOne) {
 }
 
 TEST_P(StorageBackendTest, SmallBufferRejected) {
-  const auto data = Payload(1000, 'y');
+  const auto data = SealedChunkOfBytes(1000, 'y');
   ASSERT_TRUE(backend().WriteChunk({1, 0, 0}, data.data(), 1000));
   std::vector<char> buf(10);
   EXPECT_EQ(backend().ReadChunk({1, 0, 0}, buf.data(), 10), -1);
@@ -118,7 +121,7 @@ TEST_P(StorageBackendTest, ShortBufferSemanticsAreUniformAcrossResidency) {
   constexpr int64_t kContexts = 12;
   constexpr int64_t kSize = 1500;
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
-    const auto data = Payload(kSize, static_cast<char>('a' + ctx));
+    const auto data = SealedChunkOfBytes(kSize, static_cast<uint32_t>(ctx));
     ASSERT_TRUE(backend().WriteChunk({ctx, 0, 0}, data.data(), kSize));
   }
   backend().Quiesce();
@@ -131,7 +134,9 @@ TEST_P(StorageBackendTest, ShortBufferSemanticsAreUniformAcrossResidency) {
     EXPECT_EQ(buf[0], '\0') << "short-buffer read wrote into the buffer";
     ASSERT_EQ(backend().ReadChunk({ctx, 0, 0}, buf.data(), kSize), kSize)
         << "ctx " << ctx;
-    EXPECT_EQ(buf[0], static_cast<char>('a' + ctx));
+    EXPECT_EQ(std::memcmp(buf.data(),
+                          SealedChunkOfBytes(kSize, static_cast<uint32_t>(ctx)).data(), kSize),
+              0);
     got_bytes += kSize;
   }
   const StorageStats s = backend().Stats();
@@ -141,28 +146,28 @@ TEST_P(StorageBackendTest, ShortBufferSemanticsAreUniformAcrossResidency) {
 }
 
 TEST_P(StorageBackendTest, OverwriteReplacesContent) {
-  const auto a = Payload(100, 'a');
-  const auto b = Payload(50, 'b');
+  const auto a = SealedChunkOfBytes(100, 'a');
+  const auto b = SealedChunkOfBytes(60, 'b');
   ASSERT_TRUE(backend().WriteChunk({1, 2, 3}, a.data(), 100));
-  ASSERT_TRUE(backend().WriteChunk({1, 2, 3}, b.data(), 50));
+  ASSERT_TRUE(backend().WriteChunk({1, 2, 3}, b.data(), 60));
   std::vector<char> buf(kChunkBytes);
-  EXPECT_EQ(backend().ReadChunk({1, 2, 3}, buf.data(), kChunkBytes), 50);
-  EXPECT_EQ(buf[0], 'b');
+  EXPECT_EQ(backend().ReadChunk({1, 2, 3}, buf.data(), kChunkBytes), 60);
+  EXPECT_EQ(std::memcmp(buf.data(), b.data(), 60), 0);
   EXPECT_EQ(backend().chunks_stored(), 1);
-  EXPECT_EQ(backend().bytes_stored(), 50);
+  EXPECT_EQ(backend().bytes_stored(), 60);
 }
 
 TEST_P(StorageBackendTest, DeleteContextRemovesOnlyThatContext) {
-  const auto d = Payload(10, 'd');
+  const auto d = SealedChunkOfBytes(32, 'd');
   for (int64_t c = 0; c < 4; ++c) {
-    ASSERT_TRUE(backend().WriteChunk({1, 0, c}, d.data(), 10));
-    ASSERT_TRUE(backend().WriteChunk({2, 0, c}, d.data(), 10));
+    ASSERT_TRUE(backend().WriteChunk({1, 0, c}, d.data(), 32));
+    ASSERT_TRUE(backend().WriteChunk({2, 0, c}, d.data(), 32));
   }
   backend().DeleteContext(1);
   EXPECT_FALSE(backend().HasChunk({1, 0, 0}));
   EXPECT_TRUE(backend().HasChunk({2, 0, 3}));
   EXPECT_EQ(backend().chunks_stored(), 4);
-  EXPECT_EQ(backend().bytes_stored(), 40);
+  EXPECT_EQ(backend().bytes_stored(), 128);
 }
 
 TEST_P(StorageBackendTest, ConcurrentWritersWithPollingReader) {
@@ -200,7 +205,7 @@ TEST_P(StorageBackendTest, ConcurrentWritersWithPollingReader) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([this, &failures, t] {
-      const auto d = Payload(kBytes, static_cast<char>('A' + t));
+      const auto d = SealedChunkOfBytes(kBytes, static_cast<uint32_t>(t));
       for (int c = 0; c < kChunksEach; ++c) {
         if (!backend().WriteChunk({1, t, c}, d.data(), kBytes)) {
           failures.fetch_add(1);
@@ -222,7 +227,9 @@ TEST_P(StorageBackendTest, ConcurrentWritersWithPollingReader) {
   std::vector<char> buf(kChunkBytes);
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_EQ(backend().ReadChunk({1, t, kChunksEach - 1}, buf.data(), kChunkBytes), kBytes);
-    EXPECT_EQ(buf[0], static_cast<char>('A' + t));
+    EXPECT_EQ(std::memcmp(buf.data(), SealedChunkOfBytes(kBytes, static_cast<uint32_t>(t)).data(),
+                          kBytes),
+              0);
   }
 }
 

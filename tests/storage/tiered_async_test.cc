@@ -20,6 +20,7 @@
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -33,19 +34,15 @@ TieredOptions AsyncOpts(int num_shards = 1) {
   return o;
 }
 
-std::vector<char> Payload(int64_t size, char fill) {
-  return std::vector<char>(size, fill);
-}
-
 TEST(TieredAsyncTest, EvictionLeavesTheHotTierImmediatelyAndDrainsInBackground) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   cold.set_io_latency_micros(100000);  // 100ms per cold op: holds the drain open
   TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts());
 
-  const auto v1 = Payload(kChunkBytes, 'a');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, 'a');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
-  const auto v2 = Payload(kChunkBytes, 'b');
+  const auto v2 = SealedChunkOfBytes(kChunkBytes, 'b');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 1}, v2.data(), kChunkBytes));  // evicts ctx 1
 
@@ -69,9 +66,9 @@ TEST(TieredAsyncTest, ReadRescuesAnEvictedChunkFromTheDrainQueue) {
   cold.set_io_latency_micros(200000);  // keep the victim parked in the queue
   TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts());
 
-  const auto v1 = Payload(kChunkBytes, 'x');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, 'x');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
-  const auto v2 = Payload(kChunkBytes, 'y');
+  const auto v2 = SealedChunkOfBytes(kChunkBytes, 'y');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 1}, v2.data(), kChunkBytes));  // evicts ctx 1
 
@@ -111,7 +108,7 @@ TEST(TieredAsyncTest, NoLockIsHeldAcrossColdTierIO) {
   TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts(/*num_shards=*/1));
 
   constexpr int64_t kProbeCtx = 77;
-  const auto probe_payload = Payload(256, 'p');
+  const auto probe_payload = SealedChunkOfBytes(256, 'p');
   std::atomic<int64_t> probes_ok{0};
   std::atomic<int64_t> probes_run{0};
 
@@ -152,7 +149,7 @@ TEST(TieredAsyncTest, NoLockIsHeldAcrossColdTierIO) {
   cold.set_read_hook(reenter);
 
   // Trigger an eviction write-back (drainer-side cold write) ...
-  const auto big = Payload(kChunkBytes, 'e');
+  const auto big = SealedChunkOfBytes(kChunkBytes, 'e');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, big.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, big.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 1}, big.data(), kChunkBytes));  // evicts ctx 1
@@ -179,14 +176,14 @@ TEST(TieredAsyncTest, ColdWriteFailureRollsTheEvictionBack) {
   opts.writeback_retry_backoff_us = 100;  // keep the exhaust-retries path fast
   TieredBackend tiered(&cold, 2 * kChunkBytes, opts);
 
-  const auto v1 = Payload(kChunkBytes, '1');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, '1');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
-  const auto v2 = Payload(kChunkBytes, '2');
+  const auto v2 = SealedChunkOfBytes(kChunkBytes, '2');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
 
   // One failure per attempt: initial try + 2 retries all fail, forcing rollback.
   cold.FailNextWrites(opts.writeback_retry_limit + 1);
-  const auto v3 = Payload(kChunkBytes, '3');
+  const auto v3 = SealedChunkOfBytes(kChunkBytes, '3');
   ASSERT_TRUE(tiered.WriteChunk({3, 0, 0}, v3.data(), kChunkBytes));  // evicts ctx 1
   tiered.Quiesce();
 
@@ -202,12 +199,12 @@ TEST(TieredAsyncTest, ColdWriteFailureRollsTheEvictionBack) {
   EXPECT_TRUE(tiered.IsDramResident({1, 0, 0}));
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
-  EXPECT_EQ(buf[0], '1');
+  EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, '1'));
   EXPECT_EQ(s.bytes_stored, 3 * kChunkBytes);  // the logical index never flinched
 
   // With the fault cleared, the rolled-back victim sits at the MRU end: the next
   // eviction round picks another context first, then everything conserves.
-  const auto v4 = Payload(kChunkBytes, '4');
+  const auto v4 = SealedChunkOfBytes(kChunkBytes, '4');
   ASSERT_TRUE(tiered.WriteChunk({4, 0, 0}, v4.data(), kChunkBytes));
   tiered.Quiesce();
   s = tiered.Stats();
@@ -220,7 +217,7 @@ TEST(TieredAsyncTest, ColdWriteFailureRollsTheEvictionBack) {
   for (int64_t ctx = 1; ctx <= 4; ++ctx) {
     ASSERT_EQ(tiered.ReadChunk({ctx, 0, 0}, buf.data(), kChunkBytes), kChunkBytes)
         << "ctx " << ctx;
-    EXPECT_EQ(buf[0], static_cast<char>('0' + ctx));
+    EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, static_cast<char>('0' + ctx)));
   }
 }
 
@@ -235,13 +232,13 @@ TEST(TieredAsyncTest, TransientColdWriteFailureIsAbsorbedByRetry) {
   opts.writeback_retry_backoff_us = 100;
   TieredBackend tiered(&cold, 2 * kChunkBytes, opts);
 
-  const auto v1 = Payload(kChunkBytes, '1');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, '1');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
-  const auto v2 = Payload(kChunkBytes, '2');
+  const auto v2 = SealedChunkOfBytes(kChunkBytes, '2');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
 
   cold.FailNextWrites(2);  // two attempts fail, the third lands
-  const auto v3 = Payload(kChunkBytes, '3');
+  const auto v3 = SealedChunkOfBytes(kChunkBytes, '3');
   ASSERT_TRUE(tiered.WriteChunk({3, 0, 0}, v3.data(), kChunkBytes));  // evicts ctx 1
   tiered.Quiesce();
 
@@ -257,7 +254,7 @@ TEST(TieredAsyncTest, TransientColdWriteFailureIsAbsorbedByRetry) {
   // The evicted payload survived the bumpy write-back bit-exactly.
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
-  EXPECT_EQ(buf[0], '1');
+  EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, '1'));
 }
 
 TEST(TieredAsyncTest, ShortBufferColdReadDoesNoIOAndNoPromotion) {
@@ -266,9 +263,9 @@ TEST(TieredAsyncTest, ShortBufferColdReadDoesNoIOAndNoPromotion) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   TieredBackend tiered(&cold, 2 * kChunkBytes, AsyncOpts());
-  const auto v1 = Payload(kChunkBytes, 'c');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, 'c');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
-  const auto v2 = Payload(kChunkBytes, 'd');
+  const auto v2 = SealedChunkOfBytes(kChunkBytes, 'd');
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v2.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 1}, v2.data(), kChunkBytes));  // evicts ctx 1
   tiered.Quiesce();
@@ -292,7 +289,7 @@ TEST(TieredAsyncTest, HighWaterMarkStallsWritersUntilTheDrainerCatchesUp) {
   o.high_water_factor = 1.0;  // stall threshold: capacity + 4 chunks of slack
   TieredBackend tiered(&cold, kChunkBytes, o);
 
-  const auto data = Payload(kChunkBytes, 's');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 's');
   constexpr int64_t kContexts = 24;
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
     // Each write displaces the previous context into the drain queue faster than
@@ -309,7 +306,7 @@ TEST(TieredAsyncTest, HighWaterMarkStallsWritersUntilTheDrainerCatchesUp) {
   std::vector<char> buf(kChunkBytes);
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
     ASSERT_EQ(tiered.ReadChunk({ctx, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
-    EXPECT_EQ(buf[0], 's');
+    EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, 's'));
   }
 }
 
@@ -319,7 +316,7 @@ TEST(TieredAsyncTest, DestructionWithoutQuiesceStillLandsDirtyChunksInCold) {
   MemoryBackend mem(kChunkBytes);
   InstrumentedBackend cold(&mem);
   cold.set_io_latency_micros(20000);  // 20ms/op: the queue is non-empty at dtor time
-  const auto data = Payload(kChunkBytes, 'q');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 'q');
   {
     TieredBackend tiered(&cold, kChunkBytes, AsyncOpts());
     for (int64_t ctx = 0; ctx < 4; ++ctx) {
@@ -338,7 +335,7 @@ TEST(TieredAsyncTest, DeleteDuringDrainDoesNotResurrectTheContext) {
   cold.set_io_latency_micros(50000);  // 50ms: the delete races an in-flight flush
   TieredBackend tiered(&cold, kChunkBytes, AsyncOpts());
 
-  const auto v1 = Payload(kChunkBytes, 'z');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, 'z');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v1.data(), kChunkBytes));  // evicts ctx 1
   tiered.DeleteContext(1);  // while ctx 1's write-back may be mid-flight
@@ -383,7 +380,7 @@ TEST(TieredAsyncTest, SyncWritebackOrdersADeleteRacingTheFlush) {
     cv.wait_for(lock, std::chrono::milliseconds(200), [&] { return deleted; });
   });
 
-  const auto v = Payload(kChunkBytes, 'd');
+  const auto v = SealedChunkOfBytes(kChunkBytes, 'd');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, v.data(), kChunkBytes));  // evicts ctx 1
   ASSERT_TRUE(fired.load());

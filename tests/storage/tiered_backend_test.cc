@@ -16,6 +16,7 @@
 
 #include "src/storage/file_backend.h"
 #include "src/storage/memory_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -44,9 +45,9 @@ class TieredBackendTest : public ::testing::Test {
     std::filesystem::remove_all(base_);
   }
 
-  // Writes `chunks` full chunks for `ctx`, filled with a context-distinct byte.
+  // Writes `chunks` full sealed chunks for `ctx`, salted with a context-distinct byte.
   static void FillContext(TieredBackend& t, int64_t ctx, int64_t chunks) {
-    const std::vector<char> data(kChunkBytes, static_cast<char>('a' + ctx % 26));
+    const auto data = SealedChunkOfBytes(kChunkBytes, static_cast<char>('a' + ctx % 26));
     for (int64_t c = 0; c < chunks; ++c) {
       ASSERT_TRUE(t.WriteChunk({ctx, 0, c}, data.data(), kChunkBytes));
     }
@@ -102,10 +103,7 @@ TEST_F(TieredBackendTest, ReadYourWritesAcrossEviction) {
   // Write-back correctness: bytes written before eviction must read back identical
   // after their context has been pushed to the file tier.
   TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
-  std::vector<char> data(kChunkBytes);
-  for (int64_t i = 0; i < kChunkBytes; ++i) {
-    data[static_cast<size_t>(i)] = static_cast<char>((i * 31 + 7) & 0xff);
-  }
+  const auto data = SealedChunkOfBytes(kChunkBytes, 7);
   ASSERT_TRUE(tiered.WriteChunk({1, 2, 3}, data.data(), kChunkBytes));
   // Force ctx 1 out of DRAM.
   FillContext(tiered, 2, 2);
@@ -132,19 +130,19 @@ TEST_F(TieredBackendTest, PromotedChunkReEvictsWithoutRewrite) {
   const StorageStats s = tiered.Stats();
   EXPECT_EQ(s.writeback_chunks, 3);  // ctx1 once + ctx2's two chunks, not four
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
-  EXPECT_EQ(buf[0], 'b');
+  EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, 'b'));
 }
 
 TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
   TieredBackend tiered(cold_.get(), 2 * kChunkBytes, SyncOpts());
-  const std::vector<char> v1(kChunkBytes, '1');
-  const std::vector<char> v2(512, '2');
+  const auto v1 = SealedChunkOfBytes(kChunkBytes, '1');
+  const auto v2 = SealedChunkOfBytes(512, '2');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v1.data(), kChunkBytes));
   FillContext(tiered, 2, 2);  // evict ctx 1: cold now holds v1
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, v2.data(), 512));  // newer DRAM copy
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), 512);
-  EXPECT_EQ(buf[0], '2');
+  EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), 512, '2'));
   EXPECT_EQ(tiered.ChunkSize({1, 0, 0}), 512);
   // Evict again: the write-back must propagate the new version to the cold tier.
   FillContext(tiered, 3, 2);
@@ -153,7 +151,7 @@ TEST_F(TieredBackendTest, OverwriteAfterEvictionSupersedesColdCopy) {
 
 TEST_F(TieredBackendTest, ZeroBudgetIsWriteThrough) {
   TieredBackend tiered(cold_.get(), 0, SyncOpts());
-  const std::vector<char> data(kChunkBytes, 'w');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 'w');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   EXPECT_EQ(tiered.dram_bytes(), 0);
   EXPECT_TRUE(cold_->HasChunk({1, 0, 0}));
@@ -169,7 +167,7 @@ TEST_F(TieredBackendTest, WriteThroughReadsNeverChurnTheHotTier) {
   // writes flow straight to the cold tier without phantom "evictions" (nothing was
   // ever resident) and cold-read counts track reads one-to-one.
   TieredBackend tiered(cold_.get(), 0, SyncOpts());
-  const std::vector<char> data(kChunkBytes, 'r');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 'r');
   constexpr int64_t kContexts = 3;
   for (int64_t ctx = 0; ctx < kContexts; ++ctx) {
     ASSERT_TRUE(tiered.WriteChunk({ctx, 0, 0}, data.data(), kChunkBytes));
@@ -230,13 +228,13 @@ TEST_F(TieredBackendTest, WorksOverMemoryColdTier) {
   // The cold tier is itself pluggable — DRAM-over-DRAM still honors the contract.
   MemoryBackend mem_cold(kChunkBytes);
   TieredBackend tiered(&mem_cold, kChunkBytes, SyncOpts());
-  const std::vector<char> data(kChunkBytes, 'm');
+  const auto data = SealedChunkOfBytes(kChunkBytes, 'm');
   ASSERT_TRUE(tiered.WriteChunk({1, 0, 0}, data.data(), kChunkBytes));
   ASSERT_TRUE(tiered.WriteChunk({2, 0, 0}, data.data(), kChunkBytes));  // evicts ctx 1
   EXPECT_TRUE(mem_cold.HasChunk({1, 0, 0}));
   std::vector<char> buf(kChunkBytes);
   ASSERT_EQ(tiered.ReadChunk({1, 0, 0}, buf.data(), kChunkBytes), kChunkBytes);
-  EXPECT_EQ(buf[0], 'm');
+  EXPECT_TRUE(IsSealedChunkOfBytes(buf.data(), kChunkBytes, 'm'));
   EXPECT_EQ(tiered.Name(), "tiered(memory)");
 }
 

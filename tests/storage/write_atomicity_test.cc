@@ -17,6 +17,7 @@
 #include "src/storage/instrumented_backend.h"
 #include "src/storage/memory_backend.h"
 #include "src/storage/tiered_backend.h"
+#include "tests/storage/sealed_chunk.h"
 
 namespace hcache {
 namespace {
@@ -57,7 +58,7 @@ class WriteAtomicityTest : public ::testing::Test {
 void ExpectFailedWriteLeavesNoTrace(StorageBackend* backend) {
   InstrumentedBackend flaky(backend);
   const StorageStats before = backend->Stats();
-  std::vector<char> payload(1024, 'x');
+  const auto payload = SealedChunkOfBytes(1024, 'x');
 
   flaky.FailNextWrites(1);
   EXPECT_FALSE(flaky.WriteChunk({9, 0, 0}, payload.data(), 1024));
@@ -97,7 +98,7 @@ TEST_F(WriteAtomicityTest, NaturalWriteFailureLeavesNoPartialFileAndNoFdLeak) {
   // A REAL filesystem failure (not injected): squat the chunk's publish path with a
   // directory so the final rename(2) fails after the temp file was fully written.
   FileBackend backend(Dirs(), kChunkBytes);
-  std::vector<char> payload(4096, 'q');
+  const auto payload = SealedChunkOfBytes(4096, 'q');
   // Chunk index 0 on a 1-device store lands at d0/ctx5/L0_C0.bin; a directory
   // there makes rename fail with EISDIR/ENOTEMPTY.
   ASSERT_TRUE(backend.WriteChunk({5, 0, 1}, payload.data(), 4096));  // creates ctx dir
@@ -128,10 +129,7 @@ TEST_F(WriteAtomicityTest, NaturalWriteFailureLeavesNoPartialFileAndNoFdLeak) {
 }
 
 TEST_F(WriteAtomicityTest, StartupRecoversIndexAndSweepsOrphanedTemps) {
-  std::vector<char> payload(2048, 'r');
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<char>(i * 31);
-  }
+  const auto payload = SealedChunkOfBytes(2048, 'r');
   {
     FileBackend writer(Dirs(), kChunkBytes);
     ASSERT_TRUE(writer.WriteChunk({1, 0, 0}, payload.data(), 2048));
@@ -175,12 +173,7 @@ TEST_F(WriteAtomicityTest, RecoveredChunksStillVerify) {
   // Recovery must not bypass verification: a sealed v2 chunk that survived a
   // "crash" reads back verified; one rotted on disk while the process was down
   // reads back kChunkCorrupt.
-  std::vector<uint8_t> chunk(
-      static_cast<size_t>(EncodedChunkBytes(ChunkCodec::kFp32, 8, 16)));
-  for (size_t i = sizeof(ChunkHeader); i < chunk.size(); ++i) {
-    chunk[i] = static_cast<uint8_t>(i * 7);
-  }
-  WriteChunkHeader(ChunkCodec::kFp32, 8, 16, chunk.data());
+  const auto chunk = SealedChunk(8, 16, 7);
   const int64_t bytes = static_cast<int64_t>(chunk.size());
   {
     FileBackend writer(Dirs(), kChunkBytes);

@@ -5,6 +5,14 @@
 // across shapes that straddle the register tiles, the kGemmNr strip, the kGemmKc/kGemmNc
 // blocks, the 16-lane vectors and the query block. This is what keeps restored KV
 // bit-identical when the saving and the restoring replica run different tiers.
+//
+// The spelled-out reference orders below round every product before its add; with
+// contraction on, an FMA-capable build (-march=native) would fuse them and the
+// reference would stop being the canonical order.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include <gtest/gtest.h>
 
 #include <bit>
