@@ -653,13 +653,12 @@ void EmitCodecSweepJson() {
   }
   JsonValue doc = JsonValue::Object();
   doc.Set("bench", "micro_storage")
+      .Set("host", HostFingerprint())
       .Set("note",
            "functional two-stage save + fused-decode read of a 4-layer x 1024-token x "
            "512-dim context per backend per codec; MB/s are FP32-equivalent logical "
            "rates; sim TTFT is Restorer(kHCache) for Llama2-7B n=2048 on the paper "
            "testbed under the codec's byte model")
-      .Set("simd_detected", SimdTierName(DetectedSimdTier()))
-      .Set("simd_active", SimdTierName(ActiveSimdTier()))
       .Set("simd_kernels", EmitSimdKernelSweep())
       .Set("verified_read", EmitVerifiedReadOverhead())
       .Set("restore_path_crc", EmitRestorePathCrcOverhead())

@@ -10,6 +10,9 @@
 //   kAvx2   — adds 256-bit integer ops.
 //   kAvx512 — AVX-512 F+BW+VL.
 //
+// FMA is not part of any tier's check: a 256-bit tier's GEMM uses FMA when the CPU has
+// it and the scalar reference GEMM otherwise (src/tensor/kernels.h), with the same bits.
+//
 // Dispatch: the active tier is chosen once from CPUID, clamped by the HCACHE_SIMD
 // environment variable (scalar|f16c|avx2|avx512 — requests above what the CPU
 // supports clamp down with a warning). ForceSimdTier() overrides it in-process so the

@@ -8,7 +8,10 @@
 // from the saved layer input produces *identical* floats. The order is also independent
 // of the SIMD tier (src/common/simd.h): the GEMM, attention, softmax and SiLU kernels of
 // every tier are bit-identical to the scalar reference, so a forward pass on one tier
-// and a restore on another agree too (tests/tensor/kernel_matrix_test.cc). Attention
+// and a restore on another agree too (tests/tensor/kernel_matrix_test.cc). Each GEMM
+// step is one fused multiply-add on every tier (one rounding, which IEEE-754 fixes);
+// everything else, the row ops and RoPE included, multiplies and adds separately and
+// compiles with contraction off, whatever the build flags. Attention
 // runs queries in blocks of kAttnBlock that share each K/V row load, and the block
 // changes no query's bits; softmax and SiLU exponentiate with the one CanonicalExp
 // (src/tensor/kernels.h), never libm, and RoPE reads one angle table built per model.

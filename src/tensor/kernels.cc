@@ -1,7 +1,10 @@
-// Floating-point contraction is off for this whole translation unit. GCC's vector
-// intrinsics are plain vector arithmetic, so under a target that has FMA (avx512f, or
-// -march=native for the scalar loops) it would otherwise fuse a multiply and the add
-// that consumes it into one differently-rounded instruction — and the tiers would
+// Floating-point contraction is off for this whole translation unit. The GEMM tiles
+// fuse on purpose, with explicit fused multiply-adds (std::fmaf, _mm256_fmadd_ps,
+// _mm512_fmadd_ps), which round once on every ISA. Everything else — the attention
+// dots and AV update, the exp, softmax and SiLU — multiplies and adds separately, and
+// GCC's vector intrinsics are plain vector arithmetic, so under a target that has FMA
+// (avx512f, "avx,fma", or -march=native for the scalar loops) it would otherwise fuse
+// some of those pairs into one differently-rounded instruction — and the tiers would
 // stop being bit-identical. Trapping math is off too, which changes no value (nothing
 // here runs with FP exceptions unmasked) but lets GCC if-convert CanonicalExp's
 // selects and vectorize the scalar tier's exp loops. The pragma must precede every
@@ -13,7 +16,9 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cmath>
 
 #include "src/common/logging.h"
 
@@ -100,7 +105,9 @@ __attribute__((always_inline)) inline float ExpLane(float x) {
 //
 // The reference order. Register tile kScalarMr x kNr: one strip, up to four rows. The
 // k-loop body is one fixed-trip-count j-loop with the A rows unrolled by hand, so each
-// lane's chain `acc_r[j] += a_r * b_j` is textually identical for every MR.
+// lane's chain `acc_r[j] = fmaf(a_r, b_j, acc_r[j])` is textually identical for every
+// MR. On a baseline x86-64 build std::fmaf is a libm call per element, so this tier is
+// slow; a build for an FMA target inlines it to one instruction, with the same bits.
 
 constexpr int kScalarMr = 4;
 
@@ -116,10 +123,10 @@ void TileScalar(const float* a, int64_t lda, const float* b, int64_t kc, float* 
     const float a3 = MR > 3 ? a[3 * lda + p] : 0.0f;
     for (int64_t j = 0; j < kNr; ++j) {
       const float bj = b_row[j];
-      acc0[j] += a0 * bj;
-      if constexpr (MR > 1) acc1[j] += a1 * bj;
-      if constexpr (MR > 2) acc2[j] += a2 * bj;
-      if constexpr (MR > 3) acc3[j] += a3 * bj;
+      acc0[j] = std::fmaf(a0, bj, acc0[j]);
+      if constexpr (MR > 1) acc1[j] = std::fmaf(a1, bj, acc1[j]);
+      if constexpr (MR > 2) acc2[j] = std::fmaf(a2, bj, acc2[j]);
+      if constexpr (MR > 3) acc3[j] = std::fmaf(a3, bj, acc3[j]);
     }
   }
   const float* const rows[kScalarMr] = {acc0, acc1, acc2, acc3};
@@ -243,7 +250,9 @@ void SiluScalar(float* x, int64_t n) {
 //
 // Float math needs only AVX1, so both 256-bit tiers share these kernels. A strip is
 // two ymm halves. The tile is kAvxMr x 16 (12 accumulators of the 16 ymm registers);
-// the row kernel holds kAvxRowStrips strips (8 accumulators).
+// the row kernel holds kAvxRowStrips strips (8 accumulators). The GEMM tile also needs
+// FMA, which neither 256-bit tier implies: without it, their table's gemm_block is the
+// scalar reference (kAvxNoFmaKernels below).
 
 constexpr int kAvxMr = 6;
 constexpr int kAvxRowStrips = 4;
@@ -270,9 +279,9 @@ __attribute__((target("avx"))) inline void AvxStore(float* dst, __m256 v, int64_
 }
 
 template <int MR, int NS>
-__attribute__((target("avx"))) void TileAvx(const float* a, int64_t lda, const float* b,
-                                            int64_t strip_stride, int64_t kc, float* c,
-                                            int64_t ldc, int64_t nr, bool assign) {
+__attribute__((target("avx,fma"))) void TileAvx(const float* a, int64_t lda, const float* b,
+                                                int64_t strip_stride, int64_t kc, float* c,
+                                                int64_t ldc, int64_t nr, bool assign) {
   __m256 acc[MR][2 * NS];
 #pragma GCC unroll 16
   for (int r = 0; r < MR; ++r) {
@@ -292,7 +301,7 @@ __attribute__((target("avx"))) void TileAvx(const float* a, int64_t lda, const f
       const __m256 ar = _mm256_set1_ps(a[r * lda + p]);
 #pragma GCC unroll 16
       for (int v = 0; v < 2 * NS; ++v) {
-        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(ar, bv[v]));
+        acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
       }
     }
   }
@@ -546,7 +555,8 @@ __attribute__((target("avx"))) void SiluAvx(float* x, int64_t n) {
 // ================================== kAvx512 ======================================
 //
 // The tile is kAvx512Mr x 32 (two strips, 16 zmm accumulators); the row kernel holds
-// kAvx512RowStrips strips (8 accumulators). Ragged edges use lane masks.
+// kAvx512RowStrips strips (8 accumulators). Ragged edges use lane masks. The tile's
+// fused multiply-add is part of AVX-512F, so this tier needs no separate FMA check.
 
 constexpr int kAvx512Mr = 8;
 constexpr int kAvx512TileStrips = 2;
@@ -581,7 +591,7 @@ __attribute__((target("avx512f"))) void TileAvx512(const float* a, int64_t lda,
       const __m512 ar = _mm512_set1_ps(a[r * lda + p]);
 #pragma GCC unroll 16
       for (int s = 0; s < NS; ++s) {
-        acc[r][s] = _mm512_add_ps(acc[r][s], _mm512_mul_ps(ar, bv[s]));
+        acc[r][s] = _mm512_fmadd_ps(ar, bv[s], acc[r][s]);
       }
     }
   }
@@ -843,15 +853,35 @@ constexpr TensorKernels kScalarKernels = {GemmBlockScalar,  QkDotsScalar, Weight
 #if HCACHE_TENSOR_X86
 constexpr TensorKernels kAvxKernels = {GemmBlockAvx, QkDotsAvx,     WeightedRowsAvx,
                                        ExpAvxRows,   SoftmaxRowAvx, SiluAvx};
+constexpr TensorKernels kAvxNoFmaKernels = {GemmBlockScalar, QkDotsAvx,     WeightedRowsAvx,
+                                            ExpAvxRows,      SoftmaxRowAvx, SiluAvx};
 constexpr TensorKernels kAvx512Kernels = {GemmBlockAvx512, QkDotsAvx512,     WeightedRowsAvx512,
                                           ExpAvx512Rows,   SoftmaxRowAvx512, SiluAvx512};
+
+bool CpuHasFma() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") != 0;
+  }();
+  return has;
+}
 #else
 constexpr TensorKernels kAvxKernels = kScalarKernels;
+constexpr TensorKernels kAvxNoFmaKernels = kScalarKernels;
 constexpr TensorKernels kAvx512Kernels = kScalarKernels;
+
+bool CpuHasFma() { return false; }
 #endif
 
-constexpr TensorKernels kKernelTables[kNumSimdTiers] = {kScalarKernels, kAvxKernels,
-                                                        kAvxKernels, kAvx512Kernels};
+// Indexed [has FMA][tier].
+constexpr TensorKernels kKernelTables[2][kNumSimdTiers] = {
+    {kScalarKernels, kAvxNoFmaKernels, kAvxNoFmaKernels, kAvx512Kernels},
+    {kScalarKernels, kAvxKernels, kAvxKernels, kAvx512Kernels}};
+
+std::atomic<bool>& GemmFmaCell() {
+  static std::atomic<bool> cell{CpuHasFma()};
+  return cell;
+}
 
 }  // namespace
 
@@ -862,10 +892,16 @@ const TensorKernels& TensorKernelsFor(SimdTier tier) {
   CHECK_GE(t, 0);
   CHECK_LE(t, static_cast<int>(DetectedSimdTier()))
       << "tier " << SimdTierName(tier) << " not executable on this CPU";
-  return kKernelTables[t];
+  return kKernelTables[GemmFmaCell().load() ? 1 : 0][t];
 }
 
 const TensorKernels& ActiveTensorKernels() { return TensorKernelsFor(ActiveSimdTier()); }
+
+bool ForceGemmFma(bool enabled) {
+  const bool clamped = enabled && CpuHasFma();
+  GemmFmaCell().store(clamped);
+  return clamped;
+}
 
 }  // namespace hcache
 

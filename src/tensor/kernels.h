@@ -5,15 +5,19 @@
 // Each SimdTier (src/common/simd.h, the tier the codec reads too) has one table:
 //
 //   kScalar      — the reference loops (4x16 register tile, one strip per row kernel).
-//   kF16c/kAvx2  — 256-bit AVX float math: a 6x16 tile, a 1x64 row kernel.
+//   kF16c/kAvx2  — 256-bit AVX float math: a 6x16 tile, a 1x64 row kernel. The tiles
+//                  use FMA where the CPU has it; without FMA the GEMM is the scalar one.
 //   kAvx512      — 512-bit: an 8x32 tile, a 1x128 row kernel.
 //
 // Every tier is bit-identical to scalar (pinned by tests/tensor/kernel_matrix_test.cc).
 // That holds because each output element is reduced in one fixed order that does not
 // depend on the tile shape, the vector width, the query block or the batch size, and
-// because the kernels multiply and add separately, never with FMA: kernels.cc turns
-// floating-point contraction off for its whole translation unit, so no compiler flag
-// can fuse them. No kernel calls libm: exp is the one CanonicalExp below on every tier.
+// because every step of that order has one rounding rule that every tier follows. The
+// GEMM's step is one fused multiply-add (IEEE-754 fma, correctly rounded on every ISA:
+// std::fmaf, vfmadd). Every other kernel multiplies and adds separately, never with
+// FMA: kernels.cc turns floating-point contraction off for its whole translation unit,
+// so no compiler flag can fuse them, and the only fused ops are the GEMM's explicit
+// ones. No kernel calls libm for exp: it is the one CanonicalExp below on every tier.
 #ifndef HCACHE_SRC_TENSOR_KERNELS_H_
 #define HCACHE_SRC_TENSOR_KERNELS_H_
 
@@ -48,9 +52,10 @@ float CanonicalExp(float x);
 struct TensorKernels {
   // One kc-deep block of C[m, n] = A * op(B). A is row-major with leading dimension
   // lda; op(B) is ceil(n / kGemmNr) strips, strip s starting at b + s * strip_stride.
-  // Per element: acc = 0; acc = acc + a[i][p] * b[p][j] for p = 0, 1, ..., kc-1; then
-  // C = acc when `assign`, else C = C + acc. A lone row (m == 1, the decode shape)
-  // runs a dedicated row kernel over wide strip groups, since it has no A reuse.
+  // Per element: acc = +0; acc = fma(a[i][p], b[p][j], acc) for p = 0, 1, ..., kc-1,
+  // each step rounding once; then C = acc when `assign`, else C = C + acc (a separate
+  // add). A lone row (m == 1, the decode shape) runs a dedicated row kernel over wide
+  // strip groups, since it has no A reuse.
   void (*gemm_block)(const float* a, int64_t lda, const float* b, int64_t strip_stride,
                      int64_t kc, float* c, int64_t ldc, int64_t m, int64_t n, bool assign);
   // Attention's QK dots for a block of nq query rows (1 <= nq <= kAttnBlock) of one
@@ -82,10 +87,18 @@ struct TensorKernels {
 };
 
 // The table for one specific tier. CHECK-fails if `tier` exceeds DetectedSimdTier().
+// The 256-bit tiers' gemm_block is the FMA tile where the CPU has FMA and the scalar
+// reference where it does not (see ForceGemmFma).
 const TensorKernels& TensorKernelsFor(SimdTier tier);
 
 // The table the functional plane dispatches through (TensorKernelsFor(ActiveSimdTier())).
 const TensorKernels& ActiveTensorKernels();
+
+// Test hook: with `enabled` false, both calls above hand out the tables of a CPU
+// without FMA, so the 256-bit tiers' scalar-GEMM fallback runs on an FMA host too.
+// Clamped like ForceSimdTier: true never selects the FMA tile on a CPU without FMA.
+// Returns the setting now in force. The kAvx512 tier is unaffected (AVX-512F has FMA).
+bool ForceGemmFma(bool enabled);
 
 }  // namespace hcache
 

@@ -6,21 +6,26 @@
 // blocks, the 16-lane vectors and the query block. This is what keeps restored KV
 // bit-identical when the saving and the restoring replica run different tiers.
 //
-// The spelled-out reference orders below round every product before its add; with
-// contraction on, an FMA-capable build (-march=native) would fuse them and the
-// reference would stop being the canonical order.
+// The GEMM's step is one fused multiply-add (kernels.h), so besides matching scalar every
+// tier must match a spelled-out std::fmaf loop — a check that still fails if every tier
+// drifted from the rule together — and the no-FMA tables the 256-bit tiers fall back to
+// run here too (ForceGemmFma). The spelled-out attention reference rounds every product
+// before its add; with contraction on, an FMA-capable build (-march=native) would fuse
+// them and the reference would stop being the canonical order.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC optimize("fp-contract=off")
 #endif
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -42,11 +47,45 @@ std::vector<SimdTier> RunnableTiers() {
   return tiers;
 }
 
-// Restores the pre-test active tier even when an assertion fails mid-loop.
+// A kernel table this machine can run: a tier, and whether the 256-bit tiers' GEMM is
+// the FMA tile or the fallback a CPU without FMA gets (the scalar reference).
+struct KernelConfig {
+  SimdTier tier;
+  bool fma;
+};
+
+std::string ConfigName(const KernelConfig& config) {
+  return std::string(SimdTierName(config.tier)) + (config.fma ? "" : " (no FMA)");
+}
+
+// Every runnable tier, plus each 256-bit tier's no-FMA table on an FMA host.
+std::vector<KernelConfig> RunnableConfigs() {
+  const bool fma = ForceGemmFma(true);
+  std::vector<KernelConfig> configs;
+  for (const SimdTier tier : RunnableTiers()) {
+    configs.push_back({tier, fma});
+    if (fma && (tier == SimdTier::kF16c || tier == SimdTier::kAvx2)) {
+      configs.push_back({tier, false});
+    }
+  }
+  return configs;
+}
+
+// Makes `config` the table the functional plane dispatches through.
+void Install(const KernelConfig& config) {
+  ASSERT_EQ(config.tier, ForceSimdTier(config.tier));
+  ASSERT_EQ(config.fma, ForceGemmFma(config.fma));
+}
+
+// Restores the pre-test active tier and the CPU's FMA setting even when an assertion
+// fails mid-loop.
 class KernelMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override { entry_tier_ = ActiveSimdTier(); }
-  void TearDown() override { ForceSimdTier(entry_tier_); }
+  void TearDown() override {
+    ForceSimdTier(entry_tier_);
+    ForceGemmFma(true);
+  }
 
  private:
   SimdTier entry_tier_ = SimdTier::kScalar;
@@ -59,6 +98,16 @@ Tensor RandomMatrix(int64_t r, int64_t c, uint64_t seed) {
     t.at(i) = static_cast<float>(rng.NextNormal(0, 1));
   }
   return t;
+}
+
+Tensor Transposed(const Tensor& t) {
+  Tensor out({t.dim(1), t.dim(0)});
+  for (int64_t i = 0; i < t.dim(0); ++i) {
+    for (int64_t j = 0; j < t.dim(1); ++j) {
+      out.at(j, i) = t.at(i, j);
+    }
+  }
+  return out;
 }
 
 bool BitEqual(const float* a, const float* b, int64_t n) {
@@ -105,6 +154,111 @@ TEST_F(KernelMatrixTest, GemmTiersMatchScalar) {
           const std::vector<Tensor> got = AllGemms(a, b, w, packed, base);
           for (size_t g = 0; g < got.size(); ++g) {
             ASSERT_TRUE(Tensor::BitwiseEqual(want[g], got[g]))
+                << SimdTierName(tier) << " " << kNames[g];
+          }
+        }
+      }
+    }
+  }
+}
+
+// C = A * W^T (+ C when accumulate), W stored [n, k], by the rule kernels.h documents,
+// spelled out: for each kGemmKc block of k in ascending order, acc = +0, then acc =
+// fmaf(a[i][p], w[j][p], acc) for p ascending, then C = acc for an assigning call's
+// first block and C = C + acc otherwise.
+void FusedReferenceGemm(const float* a, const float* w, float* c, int64_t m, int64_t k,
+                        int64_t n, bool accumulate) {
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float out = c[i * n + j];
+      for (int64_t p0 = 0; p0 < k; p0 += kGemmKc) {
+        float acc = 0.0f;
+        for (int64_t p = p0; p < std::min(k, p0 + kGemmKc); ++p) {
+          acc = std::fmaf(a[i * k + p], w[j * k + p], acc);
+        }
+        out = p0 == 0 && !accumulate ? acc : out + acc;
+      }
+      c[i * n + j] = out;
+    }
+  }
+}
+
+TEST_F(KernelMatrixTest, GemmMatchesFusedReferenceOnEveryTier) {
+  const std::vector<KernelConfig> configs = RunnableConfigs();
+  const char* const kNames[] = {"GemmNN", "GemmNT", "GemmPacked(accumulate)"};
+
+  // Values where one rounding and two differ. x = 1 + 2^-12, so x * x = 1 + 2^-11 +
+  // 2^-24 exactly, which rounds (to even) to 1 + 2^-11. Row and column counts reach the
+  // row kernel, the tiles and their ragged edges.
+  const float x = 1.0f + 0x1p-12f;
+  for (const int64_t m : {1, 3, 9}) {
+    for (const int64_t n : {1, 17, 40}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n);
+      // k = 2: a row (-1, x) times a column (1, x) is fma(x, x, fma(-1, 1, +0)) =
+      // 2^-11 + 2^-24; a separate multiply and add would give 2^-11.
+      Tensor a2({m, 2}), b2({2, n}), w2({n, 2});
+      for (int64_t i = 0; i < m; ++i) {
+        a2.at(i, 0) = -1.0f;
+        a2.at(i, 1) = x;
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        b2.at(0, j) = w2.at(j, 0) = 1.0f;
+        b2.at(1, j) = w2.at(j, 1) = x;
+      }
+      // k = 1 accumulating onto C = -1: acc = fma(x, x, +0) rounds like the plain
+      // product, and C + acc is a separate add, so the result is 2^-11.
+      Tensor a1({m, 1}), w1({n, 1}), minus_one({m, n});
+      a1.Fill(x);
+      w1.Fill(x);
+      minus_one.Fill(-1.0f);
+      const PackedWeights packed2(w2), packed1(w1);
+      const float fused = 0x1p-11f + 0x1p-24f;
+      const float accumulated = 0x1p-11f;
+      Tensor ref2({m, n}), ref1 = minus_one.Clone();
+      FusedReferenceGemm(a2.data(), w2.data(), ref2.data(), m, 2, n, false);
+      FusedReferenceGemm(a1.data(), w1.data(), ref1.data(), m, 1, n, true);
+      ASSERT_EQ(ref2.at(0), fused);
+      ASSERT_EQ(ref1.at(0), accumulated);
+      for (const KernelConfig& config : configs) {
+        Install(config);
+        const std::vector<Tensor> got = AllGemms(a2, b2, w2, packed2, Tensor({m, n}));
+        Tensor nn = minus_one.Clone(), nt = minus_one.Clone(), pk = minus_one.Clone();
+        GemmNN(a1.data(), w1.data(), nn.data(), m, 1, n, /*accumulate=*/true);
+        GemmNT(a1.data(), w1.data(), nt.data(), m, 1, n, /*accumulate=*/true);
+        GemmPacked(a1.data(), packed1, pk.data(), m, /*accumulate=*/true);
+        for (int64_t e = 0; e < m * n; ++e) {
+          for (size_t g = 0; g < got.size(); ++g) {
+            ASSERT_EQ(got[g].at(e), fused) << ConfigName(config) << " " << kNames[g] << " k=2";
+          }
+          ASSERT_EQ(nn.at(e), accumulated) << ConfigName(config) << " GemmNN k=1";
+          ASSERT_EQ(nt.at(e), accumulated) << ConfigName(config) << " GemmNT k=1";
+          ASSERT_EQ(pk.at(e), accumulated) << ConfigName(config) << " GemmPacked k=1";
+        }
+      }
+    }
+  }
+
+  // Random operands over the shapes GemmTiersMatchScalar covers, on every tier. GemmNN
+  // multiplies by B = W^T, so all three entry points share the reference's products.
+  uint64_t seed = 101;
+  for (const int64_t k : kKs) {
+    for (const int64_t n : kNs) {
+      const Tensor w = RandomMatrix(n, k, seed++);  // [n, k]
+      const Tensor b = Transposed(w);              // [k, n]
+      const PackedWeights packed(w);
+      for (const int64_t m : kMs) {
+        SCOPED_TRACE(testing::Message() << "m=" << m << " k=" << k << " n=" << n);
+        const Tensor a = RandomMatrix(m, k, seed++);
+        const Tensor base = RandomMatrix(m, n, seed++);
+        Tensor product({m, n}), accumulated = base.Clone();
+        FusedReferenceGemm(a.data(), w.data(), product.data(), m, k, n, false);
+        FusedReferenceGemm(a.data(), w.data(), accumulated.data(), m, k, n, true);
+        const Tensor* const want[] = {&product, &product, &accumulated};
+        for (const SimdTier tier : RunnableTiers()) {
+          ASSERT_EQ(tier, ForceSimdTier(tier));
+          const std::vector<Tensor> got = AllGemms(a, b, w, packed, base);
+          for (size_t g = 0; g < got.size(); ++g) {
+            ASSERT_TRUE(Tensor::BitwiseEqual(*want[g], got[g]))
                 << SimdTierName(tier) << " " << kNames[g];
           }
         }
@@ -471,29 +625,30 @@ TEST_F(KernelMatrixTest, ForwardAndRestoreMatchScalarOnEveryTier) {
 
     ForceSimdTier(SimdTier::kScalar);
     const ForwardRun want = RunForward(model, cfg, prompt, chunk, steps);
-    for (const SimdTier tier : RunnableTiers()) {
-      ASSERT_EQ(tier, ForceSimdTier(tier));
+    for (const KernelConfig& config : RunnableConfigs()) {
+      Install(config);
+      const std::string tier = ConfigName(config);
       const ForwardRun got = RunForward(model, cfg, prompt, chunk, steps);
       for (size_t s = 0; s < want.outputs.size(); ++s) {
         EXPECT_TRUE(Tensor::BitwiseEqual(want.outputs[s], got.outputs[s]))
-            << SimdTierName(tier) << " forward call " << s;
+            << tier << " forward call " << s;
       }
       for (int64_t l = 0; l < cfg.num_layers; ++l) {
         const size_t li = static_cast<size_t>(l);
         EXPECT_TRUE(Tensor::BitwiseEqual(want.k[li], got.k[li]))
-            << SimdTierName(tier) << " K layer " << l;
+            << tier << " K layer " << l;
         EXPECT_TRUE(Tensor::BitwiseEqual(want.v[li], got.v[li]))
-            << SimdTierName(tier) << " V layer " << l;
+            << tier << " V layer " << l;
         EXPECT_TRUE(Tensor::BitwiseEqual(want.hidden[li], got.hidden[li]))
-            << SimdTierName(tier) << " hidden layer " << l;
+            << tier << " hidden layer " << l;
         // Restoring on this tier from the scalar tier's saved hidden states gives back
         // the scalar tier's KV exactly.
         Tensor k, v;
         model.RestoreLayerKv(l, want.hidden[li], positions.data(), &k, &v);
         EXPECT_TRUE(Tensor::BitwiseEqual(want.k[li], k))
-            << SimdTierName(tier) << " restored K layer " << l;
+            << tier << " restored K layer " << l;
         EXPECT_TRUE(Tensor::BitwiseEqual(want.v[li], v))
-            << SimdTierName(tier) << " restored V layer " << l;
+            << tier << " restored V layer " << l;
       }
     }
   }
